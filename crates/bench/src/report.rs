@@ -134,6 +134,35 @@ pub fn frac(x: f64) -> String {
     format!("{x:.3}")
 }
 
+/// Comma-joined list of the vector features this CPU reports, recorded in
+/// bench series headers so timings are comparable across machines.
+pub fn cpu_features() -> String {
+    #[cfg(target_arch = "x86_64")]
+    {
+        let mut found = vec!["sse2"];
+        if std::arch::is_x86_feature_detected!("sse4.2") {
+            found.push("sse4.2");
+        }
+        if std::arch::is_x86_feature_detected!("avx") {
+            found.push("avx");
+        }
+        if std::arch::is_x86_feature_detected!("avx2") {
+            found.push("avx2");
+        }
+        if std::arch::is_x86_feature_detected!("fma") {
+            found.push("fma");
+        }
+        if std::arch::is_x86_feature_detected!("avx512f") {
+            found.push("avx512f");
+        }
+        found.join(",")
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        String::from("none")
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -144,6 +173,11 @@ mod tests {
         t.push_row(vec!["30".into(), "4".into()]);
         t.note("a note");
         t
+    }
+
+    #[test]
+    fn cpu_features_is_nonempty() {
+        assert!(!cpu_features().is_empty());
     }
 
     #[test]

@@ -228,7 +228,7 @@ impl SubregionTable {
 
     /// Full column-major cdf array — all `L + 1` end-point columns
     /// contiguous (`cdf_all()[j·n + i] = D_i(e_j)`). Input for the
-    /// multi-column SIMD survival-product builder.
+    /// shared survival-product build.
     pub(crate) fn cdf_all(&self) -> &[f64] {
         &self.cdf
     }

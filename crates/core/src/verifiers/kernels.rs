@@ -17,7 +17,7 @@
 use cpnn_pdf::integrate::{gauss_legendre, GlOrder};
 
 use crate::subregion::{SubregionTable, MASS_EPS};
-use crate::verifiers::{simd, ExcludeOneProduct};
+use crate::verifiers::ExcludeOneProduct;
 
 /// Reusable kernel buffers, threaded through the pipeline inside
 /// [`crate::verifiers::VerificationState`] (and hence per-query scratch).
@@ -57,16 +57,6 @@ pub struct KernelScratch {
     pub(crate) coef_mass: Vec<f64>,
     /// Refinement visit order (indices of massive subregions).
     pub(crate) regions: Vec<usize>,
-    /// SIMD staging buffer: per-object `q_ij` values for the current
-    /// end-point column, filled by the vector kernels of
-    /// [`crate::verifiers::simd`] and consumed by the scalar
-    /// label/mass-gated application loops. Pool-reused like every other
-    /// scratch buffer (`Vec<f64>` is 8-byte aligned; the kernels use
-    /// explicitly unaligned loads, penalty-free on every SSE2+ micro-arch).
-    pub(crate) q_col: Vec<f64>,
-    /// Second SIMD staging buffer (SR-k stages lower and upper tails for
-    /// the same column pair in one pass).
-    pub(crate) q_hi_col: Vec<f64>,
 }
 
 /// Upper size (in `f64`s per half-table) of the shared survival product
@@ -94,7 +84,7 @@ impl KernelScratch {
     /// flag) or the table exceeds [`SHARED_PRODUCTS_MAX`] (returns `false`;
     /// callers then recompute per column). Each column runs the exact
     /// multiplication chain of [`ExcludeOneProduct::recompute_survival`], so
-    /// the staging kernels consume bit-identical products either way.
+    /// the verifiers read bit-identical products either way.
     pub(crate) fn try_shared_products(&mut self, table: &SubregionTable) -> bool {
         let n = table.n_objects();
         let cols = table.left_regions() + 1;
@@ -110,10 +100,7 @@ impl KernelScratch {
         self.col_prefix.resize(cols * stride, 0.0);
         self.col_suffix.clear();
         self.col_suffix.resize(cols * stride, 0.0);
-        // Vector tiers run several independent column chains in lockstep;
-        // per column the chain order is the scalar one, so the products are
-        // bit-identical at every dispatch tier.
-        simd::shared_products(
+        shared_products(
             table.cdf_all(),
             n,
             cols,
@@ -126,9 +113,7 @@ impl KernelScratch {
 
     /// The exclude-one `(prefix, suffix)` product slices for end-point
     /// column `col`: the shared column table when `shared`, else the
-    /// ping-pong fallback product (already recomputed by the caller). The
-    /// fused scalar verifier paths consume these directly when few rows
-    /// are still unlabeled and whole-column staging would not pay.
+    /// ping-pong fallback product (already recomputed by the caller).
     pub(crate) fn col_products(&self, shared: bool, col: usize) -> (&[f64], &[f64]) {
         if shared {
             let base = col * self.col_stride;
@@ -145,8 +130,7 @@ impl KernelScratch {
     /// the column pair `(j, j+1)`: `(pc, sc)` at the near end-point and
     /// `(pn, sn)` at the far one. Shared mode slices the column table;
     /// non-shared mode returns the ping-pong pair (`excl` = `Y_j`,
-    /// `excl_next` = `Y_{j+1}`, both recomputed by the caller). Used by the
-    /// fused scalar U-SR path when staging would not pay.
+    /// `excl_next` = `Y_{j+1}`, both recomputed by the caller).
     pub(crate) fn usr_products(&self, shared: bool, j: usize) -> (&[f64], &[f64], &[f64], &[f64]) {
         if shared {
             let base = j * self.col_stride;
@@ -163,102 +147,79 @@ impl KernelScratch {
             (pc, sc, pn, sn)
         }
     }
-
-    /// Stage L-SR lower bounds for end-point column `j` into `q_col`:
-    /// `q_col[i] = (prefix[i] · suffix[i+1] · inv_cj).clamp(0, 1)` via the
-    /// active vector tier. `shared` selects the shared column table at `j`
-    /// versus the ping-pong fallback product (`excl`, already recomputed by
-    /// the caller). Lives on `KernelScratch` so the borrows split per field.
-    pub(crate) fn stage_lsr(&mut self, n: usize, shared: bool, j: usize, inv_cj: f64) {
-        ensure_len(&mut self.q_col, n);
-        let (pref, suff) = if shared {
-            let base = j * self.col_stride;
-            (
-                &self.col_prefix[base..base + self.col_stride],
-                &self.col_suffix[base..base + self.col_stride],
-            )
-        } else {
-            self.excl.parts()
-        };
-        simd::fill_excl_scaled(pref, suff, inv_cj, &mut self.q_col);
-    }
-
-    /// Stage FL-SR lower bounds for end-point column `col` into `q_col`:
-    /// `q_col[i] = (prefix[i] · suffix[i+1]).clamp(0, 1)`. Non-shared mode
-    /// reads `excl` (recomputed at `col` by the caller).
-    pub(crate) fn stage_excl(&mut self, n: usize, shared: bool, col: usize) {
-        ensure_len(&mut self.q_col, n);
-        let (pref, suff) = if shared {
-            let base = col * self.col_stride;
-            (
-                &self.col_prefix[base..base + self.col_stride],
-                &self.col_suffix[base..base + self.col_stride],
-            )
-        } else {
-            self.excl.parts()
-        };
-        simd::fill_excl(pref, suff, &mut self.q_col);
-    }
-
-    /// Stage U-SR trapezoid upper bounds for the column pair `(j, j+1)` into
-    /// `q_col`: `q_col[i] = 0.5·(Y_{j+1}(i) + Y_j(i))`, unclamped — the
-    /// application loop clamps per cell against its own lower bound.
-    /// Non-shared mode reads the ping-pong pair (`excl` = `Y_j`,
-    /// `excl_next` = `Y_{j+1}`, both recomputed by the caller).
-    pub(crate) fn stage_usr(&mut self, n: usize, shared: bool, j: usize) {
-        ensure_len(&mut self.q_col, n);
-        let (pc, sc, pn, sn) = if shared {
-            let base = j * self.col_stride;
-            let base_next = (j + 1) * self.col_stride;
-            (
-                &self.col_prefix[base..base + self.col_stride],
-                &self.col_suffix[base..base + self.col_stride],
-                &self.col_prefix[base_next..base_next + self.col_stride],
-                &self.col_suffix[base_next..base_next + self.col_stride],
-            )
-        } else {
-            let (pc, sc) = self.excl.parts();
-            let (pn, sn) = self.excl_next.parts();
-            (pc, sc, pn, sn)
-        };
-        simd::fill_usr(pc, sc, pn, sn, &mut self.q_col);
-    }
-
-    /// Stage SR-k exclude-one tails for the current column pair:
-    /// `q_col[i] = Pr[≤ limit | excl. i]` from the `dp_next` state with
-    /// probabilities `lo_probs` (lower bounds at `e_{j+1}`), and `q_hi_col`
-    /// likewise from `dp` with `hi_probs` (upper bounds at `e_j`). Every
-    /// object is staged — the application loop skips labeled ones.
-    pub(crate) fn stage_knn_tails(&mut self, lo_probs: &[f64], hi_probs: &[f64]) {
-        ensure_len(&mut self.q_col, lo_probs.len());
-        simd::pb_tails_excluding_many(&self.dp_next, lo_probs, &mut self.q_col, &mut self.dp_spare);
-        ensure_len(&mut self.q_hi_col, hi_probs.len());
-        simd::pb_tails_excluding_many(&self.dp, hi_probs, &mut self.q_hi_col, &mut self.dp_spare);
-    }
 }
 
-/// Size a staging buffer to exactly `n` without touching its contents when
-/// it already fits: the staging kernels overwrite every element, so the
-/// per-column `clear` + zero-fill the naive `resize` pattern pays would be
-/// pure memset overhead in the verify inner loop.
-#[inline]
-fn ensure_len(buf: &mut Vec<f64>, n: usize) {
-    if buf.len() != n {
-        buf.clear();
-        buf.resize(n, 0.0);
-    }
-}
-
-/// Survival kernel: `out[k] = 1 − cdf_col[k]`, a single branch-free
-/// unit-stride map over a cdf column.
+/// Shared exclude-one survival product tables for `cols` end-point columns
+/// of the column-major `cdf` (`n` objects per column): for column `j`,
+/// `prefix[j·stride + i + 1] = Π_{k≤i} (1 − cdf[j·n + k])` (with
+/// `prefix[j·stride] = 1`) and `suffix[j·stride + i] = Π_{k≥i} (1 − …)`
+/// (with `suffix[j·stride + n] = 1`), `stride = n + 1`.
 ///
-/// The subregion verifiers now fuse this map directly into the product pass
-/// ([`ExcludeOneProduct::recompute_survival`]); this standalone form remains
-/// as the primitive for callers that need the factor vector itself.
-pub fn survival_into(cdf_col: &[f64], out: &mut Vec<f64>) {
-    out.clear();
-    out.resize(cdf_col.len(), 0.0);
-    simd::fill_survival(cdf_col, out);
+/// Each column's product chain is serial, so four columns run side by side
+/// with independent accumulators: the multiply latencies overlap, while
+/// every column keeps the exact multiplication order of
+/// [`ExcludeOneProduct::recompute_survival`] (bit-identical products). The
+/// last `cols % 4` columns run one chain at a time.
+fn shared_products(cdf: &[f64], n: usize, cols: usize, prefix: &mut [f64], suffix: &mut [f64]) {
+    debug_assert_eq!(cdf.len(), cols * n);
+    debug_assert_eq!(prefix.len(), cols * (n + 1));
+    debug_assert_eq!(suffix.len(), cols * (n + 1));
+    let grouped = cols - cols % 4;
+    for j in (0..grouped).step_by(4) {
+        product_chains::<4>(cdf, n, j, prefix, suffix);
+    }
+    for j in grouped..cols {
+        product_chains::<1>(cdf, n, j, prefix, suffix);
+    }
+}
+
+/// Prefix and suffix product chains of the `W` columns starting at `j0`,
+/// run in lockstep (see [`shared_products`] for the layout).
+#[inline]
+fn product_chains<const W: usize>(
+    cdf: &[f64],
+    n: usize,
+    j0: usize,
+    prefix: &mut [f64],
+    suffix: &mut [f64],
+) {
+    let stride = n + 1;
+    let src: [&[f64]; W] = std::array::from_fn(|c| &cdf[(j0 + c) * n..(j0 + c + 1) * n]);
+    let pre = &mut prefix[j0 * stride..(j0 + W) * stride];
+    let suf = &mut suffix[j0 * stride..(j0 + W) * stride];
+    let mut acc = [1.0f64; W];
+    for c in 0..W {
+        pre[c * stride] = 1.0;
+    }
+    for i in 0..n {
+        for c in 0..W {
+            acc[c] *= 1.0 - src[c][i];
+            pre[c * stride + i + 1] = acc[c];
+        }
+    }
+    let mut acc = [1.0f64; W];
+    for c in 0..W {
+        suf[c * stride + n] = 1.0;
+    }
+    for i in (0..n).rev() {
+        for c in 0..W {
+            acc[c] *= 1.0 - src[c][i];
+            suf[c * stride + i] = acc[c];
+        }
+    }
+}
+
+/// One Poisson-binomial DP row update with an already-clamped success
+/// probability `p`: `dp[c] ← dp[c]·(1−p) + dp[c−1]·p`, walking the row
+/// top-down so every step reads pre-update state. The inner step of
+/// [`pb_into`], the near-one fallback recompute, and the k-NN qualification
+/// integrand.
+#[inline]
+fn pb_row_update(dp: &mut [f64], p: f64) {
+    for c in (0..dp.len()).rev() {
+        let come = if c > 0 { dp[c - 1] * p } else { 0.0 };
+        dp[c] = dp[c] * (1.0 - p) + come;
+    }
 }
 
 /// Poisson-binomial DP column step: rebuild `dp` in place so that
@@ -271,7 +232,7 @@ pub fn pb_into(dp: &mut Vec<f64>, probs: &[f64], limit: usize) {
     dp[0] = 1.0;
     for &p in probs {
         let p = p.clamp(0.0, 1.0);
-        simd::pb_row_update(dp, p);
+        pb_row_update(dp, p);
     }
 }
 
@@ -292,7 +253,7 @@ pub fn pb_tail_excluding(dp: &[f64], probs: &[f64], i: usize, spare: &mut Vec<f6
                 continue;
             }
             let q = raw.clamp(0.0, 1.0);
-            simd::pb_row_update(spare, q);
+            pb_row_update(spare, q);
         }
         return spare.iter().sum::<f64>();
     }
@@ -402,7 +363,7 @@ pub fn knn_qualification(
                 dp[0] = 1.0;
                 for (a_k, m_k) in coef_cdf.iter().zip(coef_mass) {
                     let pr = (a_k + t * m_k).clamp(0.0, 1.0);
-                    simd::pb_row_update(dp, pr);
+                    pb_row_update(dp, pr);
                 }
                 dp.iter().sum::<f64>().clamp(0.0, 1.0)
             },
@@ -422,26 +383,49 @@ mod tests {
     use crate::subregion::SubregionTable;
     use crate::testutil::fig7_scenario;
 
-    /// Naive scalar reference for the survival kernel.
-    fn survival_naive(cdf_col: &[f64]) -> Vec<f64> {
-        let mut out = Vec::new();
-        for &c in cdf_col {
-            out.push(1.0 - c);
-        }
-        out
-    }
-
     #[test]
-    fn survival_matches_naive_bitwise() {
-        let col = [0.0, 0.15, 0.3, 0.999, 1.0];
-        let mut out = Vec::new();
-        survival_into(&col, &mut out);
-        for (a, b) in out.iter().zip(survival_naive(&col)) {
-            assert_eq!(a.to_bits(), b.to_bits());
+    fn shared_products_match_recompute_survival_bitwise() {
+        // cdf values at and just inside the [0, 1] ends, plus interior ones.
+        let pool = [
+            0.0,
+            f64::MIN_POSITIVE,
+            1e-300,
+            0.3,
+            0.5,
+            0.875,
+            1.0 - f64::EPSILON,
+            1.0,
+        ];
+        let mut excl = ExcludeOneProduct::default();
+        for n in [0usize, 1, 2, 7] {
+            for cols in 1..=9 {
+                let cdf: Vec<f64> = (0..cols * n)
+                    .map(|k| pool[(k * 5 + cols) % pool.len()])
+                    .collect();
+                let stride = n + 1;
+                let mut prefix = vec![f64::NAN; cols * stride];
+                let mut suffix = vec![f64::NAN; cols * stride];
+                shared_products(&cdf, n, cols, &mut prefix, &mut suffix);
+                for j in 0..cols {
+                    excl.recompute_survival(&cdf[j * n..(j + 1) * n]);
+                    let (want_pre, want_suf) = excl.parts();
+                    let got_pre = &prefix[j * stride..(j + 1) * stride];
+                    let got_suf = &suffix[j * stride..(j + 1) * stride];
+                    for i in 0..stride {
+                        assert_eq!(
+                            got_pre[i].to_bits(),
+                            want_pre[i].to_bits(),
+                            "prefix n={n} cols={cols} j={j} i={i}"
+                        );
+                        assert_eq!(
+                            got_suf[i].to_bits(),
+                            want_suf[i].to_bits(),
+                            "suffix n={n} cols={cols} j={j} i={i}"
+                        );
+                    }
+                }
+            }
         }
-        // Reuse clears first.
-        survival_into(&col[..2], &mut out);
-        assert_eq!(out.len(), 2);
     }
 
     #[test]

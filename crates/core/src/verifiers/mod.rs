@@ -21,7 +21,6 @@ mod lsr;
 mod products;
 pub mod reference;
 mod rs;
-pub mod simd;
 mod usr;
 
 pub use flsr::FarLowerSubregion;

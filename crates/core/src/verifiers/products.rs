@@ -52,11 +52,10 @@ impl ExcludeOneProduct {
     }
 
     /// Rebuild directly from a cdf column, taking factor `i` as
-    /// `1.0 − cdf[i]` on the fly. This fuses [`super::kernels::survival_into`]
-    /// into the product pass: the same `1.0 − c` subtraction feeds the same
-    /// multiplication chain in the same order, so the resulting products are
-    /// bit-identical to `recompute(&survival_into(cdf))` — with one fewer
-    /// write-then-read sweep over the factors buffer.
+    /// `1.0 − cdf[i]` on the fly. The same `1.0 − c` subtraction feeds the
+    /// same multiplication chain in the same order as [`Self::recompute`]
+    /// over the survival factors, so the products are bit-identical to it —
+    /// without materializing the factor vector.
     pub fn recompute_survival(&mut self, cdf: &[f64]) {
         let n = cdf.len();
         self.prefix.clear();

@@ -258,9 +258,8 @@ impl HistogramPdf {
     /// subregion-table build does exactly this, one cursor per member)
     /// without restarting the edge merge from bin 0 each time.
     ///
-    /// Points sharing a bin form a *run*, and each run's interpolation is
-    /// evaluated with [`crate::simd::fill_interp`] — vector lanes at the
-    /// active dispatch tier, bit-identical to [`Pdf::cdf`] per point.
+    /// Each point evaluates the [`Pdf::cdf`] interpolation expression in
+    /// its bin.
     ///
     /// Contract: `xs` ascends, `out.len() == xs.len()`, `*bin` was produced
     /// by a previous call on the same histogram with points `≤ xs[0]` (or is
@@ -290,32 +289,12 @@ impl HistogramPdf {
         // Because xs ascends (across calls too), it only ever moves right.
         let mut b = *bin;
         debug_assert!(b < n, "stale bin cursor");
-        while i < end {
-            let x0 = xs[i];
-            while self.edges[b + 1] <= x0 {
+        for (o, &x) in out[i..end].iter_mut().zip(&xs[i..end]) {
+            while self.edges[b + 1] <= x {
                 b += 1;
             }
-            debug_assert!(self.edges[b] <= x0, "cursor resumed past its points");
-            // The run of points that stay inside bin b.
-            let mut j = i + 1;
-            while j < end && xs[j] < self.edges[b + 1] {
-                j += 1;
-            }
-            if j == i + 1 {
-                // Singleton run — the common case when sorted end-points
-                // spread across the bins. Same expression as
-                // `fill_interp_scalar`, evaluated in place.
-                out[i] = (self.cdf[b] + self.density[b] * (x0 - self.edges[b])).clamp(0.0, 1.0);
-            } else {
-                crate::simd::fill_interp(
-                    self.cdf[b],
-                    self.density[b],
-                    self.edges[b],
-                    &xs[i..j],
-                    &mut out[i..j],
-                );
-            }
-            i = j;
+            debug_assert!(self.edges[b] <= x, "cursor resumed past its points");
+            *o = (self.cdf[b] + self.density[b] * (x - self.edges[b])).clamp(0.0, 1.0);
         }
         *bin = b;
     }

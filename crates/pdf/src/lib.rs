@@ -35,7 +35,6 @@ pub mod histogram;
 pub mod integrate;
 pub mod piecewise;
 pub mod samples;
-pub mod simd;
 pub mod special;
 pub mod traits;
 
@@ -48,7 +47,6 @@ pub use gaussian::TruncatedGaussian;
 pub use histogram::HistogramPdf;
 pub use piecewise::PiecewiseLinear;
 pub use samples::{equi_depth_from_samples, histogram_from_samples};
-pub use simd::SimdTier;
 pub use traits::Pdf;
 pub use uniform::UniformPdf;
 
