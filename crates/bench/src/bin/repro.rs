@@ -1,5 +1,5 @@
 //! `repro` — regenerate every table and figure of the paper's evaluation,
-//! plus the batch-scaling, serve-mode, sharding, and 2-D k-NN experiments,
+//! plus the batch-scaling, serve-mode, 2-D k-NN, and routing experiments,
 //! and emit a machine-readable timing file (the current series file,
 //! `BENCH_pr<N>.json` derived from [`CURRENT_PR`]) so later changes have a
 //! perf trajectory to regress against.
@@ -9,7 +9,7 @@
 //! repro [--quick] [--out DIR] [--bench-json FILE] [EXPERIMENT ...]
 //! ```
 //! where `EXPERIMENT` is any of `fig9 fig10 fig11 fig12 fig13 fig14 table3
-//! ablations batch serve shard knn2d cache update verify recovery` or `all` (default). `--quick` uses a
+//! ablations batch serve knn2d cache update verify recovery router` or `all` (default). `--quick` uses a
 //! reduced workload (same shapes, faster); `--out` selects the results
 //! directory (default `results/`); `--bench-json` overrides the
 //! timing-file path (default: the current series file, empty string
@@ -57,7 +57,7 @@ fn main() {
             "--help" | "-h" => {
                 eprintln!(
                     "usage: repro [--quick] [--out DIR] [--bench-json FILE (default {})] \
-                     [fig9|fig10|fig11|fig12|fig13|fig14|table3|ablations|batch|serve|shard|\
+                     [fig9|fig10|fig11|fig12|fig13|fig14|table3|ablations|batch|serve|\
                      knn2d|cache|update|verify|recovery|router|all ...]",
                     current_series()
                 );
@@ -81,7 +81,6 @@ fn main() {
         "ablations",
         "batch",
         "serve",
-        "shard",
         "knn2d",
         "cache",
         "update",
@@ -164,9 +163,6 @@ fn main() {
     }
     if want("serve") {
         run("serve", &experiments::serve::run, &mut produced);
-    }
-    if want("shard") {
-        run("shard", &experiments::shard::run, &mut produced);
     }
     if want("knn2d") {
         run("knn2d", &experiments::knn2d::run, &mut produced);

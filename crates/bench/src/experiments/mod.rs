@@ -15,7 +15,6 @@ pub mod knn2d;
 pub mod recovery;
 pub mod router;
 pub mod serve;
-pub mod shard;
 pub mod table3;
 pub mod update;
 pub mod verify;

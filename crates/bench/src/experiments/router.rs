@@ -1,9 +1,9 @@
 //! Distributed-serving experiment — beyond the paper: what the socket
-//! hop costs. The same VR workload runs twice per shard count:
+//! hop costs. The same VR workload runs both ways:
 //!
-//! * **direct** — in-process [`cpnn`] over the domain-partitioned
-//!   [`ShardedDb`] (the PR-5 baseline the router must match bit-for-bit);
-//! * **routed** — through a [`QueryRouter`] fanning out to one shard
+//! * **direct** — in-process [`cpnn`] over the flat [`UncertainDb`] (the
+//!   answer the router must match bit-for-bit), measured once;
+//! * **routed**, per shard count — through a [`QueryRouter`] fanning out to one shard
 //!   *server* per shard over Unix sockets, candidates shipped back raw
 //!   and verified router-side.
 //!
@@ -98,17 +98,18 @@ pub fn run(quick: bool) -> Table {
             "fanout/query",
         ],
     );
+    // Direct baseline: the flat in-process pipeline the router must match.
+    let cfg = flat.config().pipeline();
+    let start = Instant::now();
+    for q in &queries {
+        cpnn(&flat, q, &spec, &cfg).expect("direct query");
+    }
+    let direct_wall = start.elapsed();
+    let direct_qps = queries.len() as f64 / direct_wall.as_secs_f64();
+
     for &shards in &SHARD_SWEEP {
-        let sharded = ShardedDb::from_model(&flat, shards).expect("shardable workload");
-        let cfg = sharded.pipeline_config();
-
-        // Direct baseline: the in-process fan-out the router must match.
-        let start = Instant::now();
-        for q in &queries {
-            cpnn(&sharded, q, &spec, &cfg).expect("direct query");
-        }
-        let direct_wall = start.elapsed();
-
+        let sharded = ShardedDb::build(flat.shard_objects(), *flat.config(), shards)
+            .expect("shardable workload");
         let (handles, map) = spawn_fleet(&sharded, &dir);
         let router_cfg = RouterConfig {
             timeout: Duration::from_secs(30),
@@ -140,7 +141,6 @@ pub fn run(quick: bool) -> Table {
 
         lat.sort();
         let routed_qps = queries.len() as f64 / routed_wall.as_secs_f64();
-        let direct_qps = queries.len() as f64 / direct_wall.as_secs_f64();
         table.push_row(vec![
             shards.to_string(),
             format!("{routed_qps:.0}"),

@@ -2,11 +2,11 @@
 //! sustained mixed read/write throughput of the persistent (path-copying)
 //! storage stack, against the rebuild baseline it replaced.
 //!
-//! Three write paths are compared at each database size and shard count:
+//! Three write paths are compared at each database size:
 //!
-//! * **rebuild** — the pre-persistent behavior: materialize the owning
-//!   shard's objects and bulk-build a fresh model around the change
-//!   (O(|shard| log |shard|) per update);
+//! * **rebuild** — the pre-persistent behavior: materialize the
+//!   database's objects and bulk-build a fresh model around the change
+//!   (O(|T| log |T|) per update);
 //! * **path-copy** — [`cpnn_core::QueryServer::insert`]/`remove`: a
 //!   copy-on-write snapshot swap that clones only the root-to-leaf index
 //!   path and the id-map path (O(log n) — flat-ish as |T| grows);
@@ -23,10 +23,7 @@
 
 use std::time::{Duration, Instant};
 
-use cpnn_core::{
-    ObjectId, QueryServer, QuerySpec, ShardableModel, ShardedDb, Strategy, UncertainDb,
-    UncertainObject,
-};
+use cpnn_core::{ObjectId, QueryServer, QuerySpec, Strategy, UncertainDb, UncertainObject};
 use cpnn_datagen::{longbeach::longbeach_with, query_points, LongBeachConfig};
 
 use crate::experiments::{DEFAULT_DELTA, DEFAULT_P};
@@ -50,31 +47,18 @@ fn update_object(i: usize) -> UncertainObject {
         .expect("valid update object")
 }
 
-/// The rebuild baseline: per update, materialize the owning shard's
-/// objects and bulk-build a replacement shard (what `insert` did before
-/// the index went persistent). Averaged over `reps` inserts.
-fn rebuild_latency(db: &ShardedDb<UncertainDb>, reps: usize) -> Duration {
+/// The rebuild baseline: per update, materialize the database's objects
+/// and bulk-build a replacement (what `insert` did before the index went
+/// persistent). Averaged over `reps` inserts.
+fn rebuild_latency(db: &UncertainDb, reps: usize) -> Duration {
     let mut total = Duration::ZERO;
     for i in 0..reps {
         let object = update_object(i);
-        // Identify the shard the object routes to — the cost we charge is
-        // the rebuild itself, as the old code path would pay it.
-        let shard = (0..db.num_shards())
-            .min_by(|&a, &b| {
-                let d = |s: usize| {
-                    db.shard_model(s)
-                        .model_extent()
-                        .map(|e| e.mindist(&((object.region().0 + object.region().1) * 0.5)))
-                        .unwrap_or(f64::INFINITY)
-                };
-                d(a).total_cmp(&d(b))
-            })
-            .unwrap_or(0);
         let start = Instant::now();
-        let mut objects = db.shard_model(shard).shard_objects();
+        let mut objects = db.objects();
         objects.push(object);
-        let rebuilt = UncertainDb::build_shard(objects, db.shard_model(shard).config())
-            .expect("rebuild of a valid shard");
+        let rebuilt =
+            UncertainDb::with_config(objects, *db.config()).expect("rebuild of a valid database");
         total += start.elapsed();
         std::hint::black_box(&rebuilt);
     }
@@ -83,8 +67,8 @@ fn rebuild_latency(db: &ShardedDb<UncertainDb>, reps: usize) -> Duration {
 
 /// Mean per-update snapshot-swap latency through the persistent path
 /// (`insert` + `remove` round-trips against a running server).
-fn path_copy_latency(db: &ShardedDb<UncertainDb>, reps: usize) -> Duration {
-    let server = QueryServer::start(db.clone(), 1, db.pipeline_config());
+fn path_copy_latency(db: &UncertainDb, reps: usize) -> Duration {
+    let server = QueryServer::start(db.clone(), 1, db.config().pipeline());
     let mut total = Duration::ZERO;
     for i in 0..reps {
         let object = update_object(i);
@@ -100,8 +84,8 @@ fn path_copy_latency(db: &ShardedDb<UncertainDb>, reps: usize) -> Duration {
 
 /// Mean per-op latency when updates coalesce: queue `BURST` inserts, one
 /// flush, then the same for removes. One publish per burst.
-fn coalesced_latency(db: &ShardedDb<UncertainDb>, rounds: usize) -> Duration {
-    let server = QueryServer::start(db.clone(), 1, db.pipeline_config());
+fn coalesced_latency(db: &UncertainDb, rounds: usize) -> Duration {
+    let server = QueryServer::start(db.clone(), 1, db.config().pipeline());
     let mut total = Duration::ZERO;
     let mut ops = 0usize;
     for round in 0..rounds {
@@ -133,21 +117,12 @@ fn coalesced_latency(db: &ShardedDb<UncertainDb>, rounds: usize) -> Duration {
     total / ops.max(1) as u32
 }
 
-/// Post-workload R-tree quality counters, aggregated over every shard of
-/// the server's final snapshot: total node count, and the average leaf
-/// fill factor (leaf entries / leaf capacity).
-fn index_quality(db: &ShardedDb<UncertainDb>) -> (usize, f64) {
-    let mut stats = cpnn_core::TreeStats::default();
-    let mut max_entries = 0;
-    for s in 0..db.num_shards() {
-        let model = db.shard_model(s);
-        let t = model.index_stats();
-        stats.nodes += t.nodes;
-        stats.leaves += t.leaves;
-        stats.leaf_entries += t.leaf_entries;
-        max_entries = max_entries.max(model.index_params().max_entries);
-    }
-    (stats.nodes, stats.leaf_fill(max_entries))
+/// Post-workload R-tree quality counters of the server's final snapshot:
+/// total node count, and the average leaf fill factor (leaf entries /
+/// leaf capacity).
+fn index_quality(db: &UncertainDb) -> (usize, f64) {
+    let stats = db.index_stats();
+    (stats.nodes, stats.leaf_fill(db.index_params().max_entries))
 }
 
 /// Sustained mixed read/write throughput: a read-heavy stream (15 : 1)
@@ -155,12 +130,8 @@ fn index_quality(db: &ShardedDb<UncertainDb>) -> (usize, f64) {
 /// Returns queries per second of wall-clock time, plus the post-workload
 /// [`index_quality`] counters of the final snapshot (how healthy the
 /// persistent R-tree is after the update churn).
-fn mixed_throughput(
-    db: &ShardedDb<UncertainDb>,
-    n_queries: usize,
-    threads: usize,
-) -> (f64, usize, f64) {
-    let server = QueryServer::start(db.clone(), threads, db.pipeline_config());
+fn mixed_throughput(db: &UncertainDb, n_queries: usize, threads: usize) -> (f64, usize, f64) {
+    let server = QueryServer::start(db.clone(), threads, db.config().pipeline());
     let points = query_points(0x0DDC0DE, n_queries);
     let spec = QuerySpec::nn(DEFAULT_P, DEFAULT_DELTA, Strategy::Verified);
     let start = Instant::now();
@@ -192,7 +163,7 @@ fn mixed_throughput(
     (qps, nodes, leaf_fill)
 }
 
-/// Run the experiment. Rows sweep |T| × shard count; columns compare the
+/// Run the experiment. Rows sweep |T|; columns compare the
 /// three write paths (mean µs per update, speedup of path-copy over
 /// rebuild) plus the sustained mixed read/write throughput.
 pub fn run(quick: bool) -> Table {
@@ -201,7 +172,6 @@ pub fn run(quick: bool) -> Table {
     } else {
         &[1_000, 8_000, 32_000]
     };
-    let shard_sweep = [1usize, 8];
     let reps = if quick { 16 } else { 40 };
     let rounds = if quick { 2 } else { 5 };
     let n_queries = if quick { 600 } else { 3_000 };
@@ -214,7 +184,6 @@ pub fn run(quick: bool) -> Table {
          baseline vs. persistent path-copy vs. coalesced bursts",
         &[
             "|T|",
-            "shards",
             "rebuild (µs)",
             "path-copy (µs)",
             "speedup",
@@ -227,37 +196,32 @@ pub fn run(quick: bool) -> Table {
     table.note(format!(
         "path-copy / coalesced are QueryServer snapshot swaps (persistent \
          R-tree + id map, O(log n) structural edits); rebuild is the \
-         pre-persistent baseline (owning shard re-bulk-loaded per update); \
+         pre-persistent baseline (database re-bulk-loaded per update); \
          coalesced bursts are {BURST} queued ops per flush (one publish \
          each); mixed streams {n_queries} VR queries (P = {DEFAULT_P}, \
          Δ = {DEFAULT_DELTA}) with 1 flushed update per 15 queries on \
          {threads} worker thread(s); {reps} reps per latency cell; \
          rtree nodes / leaf fill are post-workload counters of the final \
-         snapshot's shard indexes (avg leaf entries over leaf capacity)"
+         snapshot's index (avg leaf entries over leaf capacity)"
     ));
     for &size in sizes {
-        let objects = db_of(size);
-        for shards in shard_sweep {
-            let db = ShardedDb::<UncertainDb>::build(objects.clone(), Default::default(), shards)
-                .expect("valid generated data");
-            let rebuild = rebuild_latency(&db, reps);
-            let path = path_copy_latency(&db, reps);
-            let coalesced = coalesced_latency(&db, rounds);
-            let (qps, nodes, leaf_fill) = mixed_throughput(&db, n_queries, threads);
-            let rebuild_us = rebuild.as_secs_f64() * 1e6;
-            let path_us = path.as_secs_f64() * 1e6;
-            table.push_row(vec![
-                size.to_string(),
-                shards.to_string(),
-                format!("{rebuild_us:.1}"),
-                format!("{path_us:.1}"),
-                format!("{:.1}x", rebuild_us / path_us.max(1e-9)),
-                format!("{:.1}", coalesced.as_secs_f64() * 1e6),
-                format!("{qps:.0}"),
-                nodes.to_string(),
-                format!("{leaf_fill:.3}"),
-            ]);
-        }
+        let db = UncertainDb::build(db_of(size)).expect("valid generated data");
+        let rebuild = rebuild_latency(&db, reps);
+        let path = path_copy_latency(&db, reps);
+        let coalesced = coalesced_latency(&db, rounds);
+        let (qps, nodes, leaf_fill) = mixed_throughput(&db, n_queries, threads);
+        let rebuild_us = rebuild.as_secs_f64() * 1e6;
+        let path_us = path.as_secs_f64() * 1e6;
+        table.push_row(vec![
+            size.to_string(),
+            format!("{rebuild_us:.1}"),
+            format!("{path_us:.1}"),
+            format!("{:.1}x", rebuild_us / path_us.max(1e-9)),
+            format!("{:.1}", coalesced.as_secs_f64() * 1e6),
+            format!("{qps:.0}"),
+            nodes.to_string(),
+            format!("{leaf_fill:.3}"),
+        ]);
     }
     table
 }

@@ -18,26 +18,42 @@ use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
 use cpnn_core::persist::load_objects_from_path;
-use cpnn_core::{EngineConfig, FileBackend, QueryServer, ShardableModel, UncertainDb};
+use cpnn_core::{
+    EngineConfig, FileBackend, QueryServer, ShardBalance, ShardableModel, UncertainDb,
+};
 use cpnn_router::{
     QueryRouter, RouterConfig, ShardAddr, ShardListener, ShardMap, ShardServeConfig,
     ShardServerHandle, UpdateOp,
 };
 
-use crate::args::ArgBag;
-use crate::{parse_serve_line, shard_balance_args, ServeRequest};
+use crate::args::{ArgBag, UsageError};
+use crate::{parse_serve_line, ServeRequest};
 
 /// The shard-map file name `shard-split` writes and `route` loads.
 pub const SHARD_MAP_FILE: &str = "shards.cpsm";
 /// The socket file each shard process binds inside its data directory.
 pub const SHARD_SOCKET_FILE: &str = "shard.sock";
 
+/// `--shard-balance width|quantile` parsing (equal-width slabs by
+/// default; `quantile` places slab boundaries at object-center quantiles
+/// so clustered data still shards evenly).
+fn shard_balance_args(bag: &mut ArgBag) -> Result<ShardBalance, UsageError> {
+    match bag.optional::<String>("shard-balance")? {
+        None => Ok(ShardBalance::default()),
+        Some(name) => ShardBalance::parse(&name).ok_or_else(|| {
+            UsageError(format!(
+                "unknown --shard-balance `{name}` (expected `width` or `quantile`)"
+            ))
+        }),
+    }
+}
+
 /// `cpnn shard-split FILE --out DIR [--shards N] [--shard-balance B]` —
 /// partition a dataset snapshot into per-shard durable data directories
 /// (each holding its slab's checkpoint, ready for `shard-serve`) plus a
-/// `shards.cpsm` map for `route`. The axis and slab boundaries are the
-/// ones a single-process `--shards N` serve would use, which is what
-/// makes the routed fleet answer identically.
+/// `shards.cpsm` map for `route`. The map carries the partition axis and
+/// slab boundaries, so the router routes inserts to the slab a fresh
+/// split would have put them in.
 pub fn shard_split(bag: &mut ArgBag) -> Result<(), Box<dyn std::error::Error>> {
     let path: PathBuf = bag.positional("dataset file")?;
     let out: PathBuf = bag.required("out")?;

@@ -20,11 +20,11 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Instant;
 
-use cpnn_core::persist::{load_from_path, load_objects_from_path, save_to_path};
+use cpnn_core::persist::{load_from_path, save_to_path};
 use cpnn_core::{
     pipeline, BatchExecutor, CacheConfig, CpnnQuery, EngineConfig, FileBackend, ObjectId,
-    QueryServer, QuerySpec, Served, ShardBalance, ShardedDb, SharedCacheConfig, Strategy, Ticket,
-    UncertainDb, UncertainDb2d, UncertainObject, UpdateOutcome,
+    QueryServer, QuerySpec, Served, SharedCacheConfig, Strategy, Ticket, UncertainDb,
+    UncertainDb2d, UncertainObject, UpdateOutcome,
 };
 use cpnn_datagen::{
     longbeach::longbeach_with, objects_2d, query_points_in, LongBeachConfig, Synthetic2dConfig,
@@ -79,19 +79,13 @@ fn print_usage() {
          \x20 generate --out FILE [--count N] [--seed S]   create a synthetic dataset snapshot\n\
          \x20 info FILE                                    dataset statistics\n\
          \x20 pnn FILE --q Q [--top N]                     exact qualification probabilities\n\
-         \x20 cpnn FILE --q Q --p P [--delta D] [--strategy vr|basic|refine|mc] [--shards N]\n\
-         \x20           [--shard-balance width|quantile] [--cache N] [--cache-quantum EPS]\n\
-         \x20           [--shared-cache N] [--cache-ttl SECS]\n\
+         \x20 cpnn FILE --q Q --p P [--delta D] [--strategy vr|basic|refine|mc]\n\
+         \x20           [--cache N] [--cache-quantum EPS] [--shared-cache N] [--cache-ttl SECS]\n\
          \x20 cpnn FILE --batch N --p P [--threads T] [--seed S] [--delta D] [--strategy S]\n\
-         \x20           [--shards N] [--shard-balance B] [--cache N] [--cache-quantum EPS]\n\
-         \x20           [--shared-cache N] [--cache-ttl SECS]\n\
+         \x20           [--cache N] [--cache-quantum EPS] [--shared-cache N] [--cache-ttl SECS]\n\
          \x20                                              batch over N random query points\n\
-         \x20                                              (T = 0 means one per core; shards > 1\n\
-         \x20                                              fans each query out across a\n\
-         \x20                                              domain-partitioned database —\n\
-         \x20                                              equal-width slabs by default,\n\
-         \x20                                              equal-count with --shard-balance\n\
-         \x20                                              quantile; --cache N memoizes\n\
+         \x20                                              (T = 0 means one per core;\n\
+         \x20                                              --cache N memoizes\n\
          \x20                                              verification state for up to N query\n\
          \x20                                              points per worker, snapped to an\n\
          \x20                                              EPS-wide grid; --shared-cache N adds\n\
@@ -101,12 +95,12 @@ fn print_usage() {
          \x20                                              optional --cache-ttl entry lifetime)\n\
          \x20 knn FILE --q Q --k K --p P [--delta D]       constrained probabilistic k-NN\n\
          \x20 knn2d --qx X --qy Y --p P [--k K] [--count N] [--seed S] [--delta D]\n\
-         \x20       [--domain D] [--shards N] [--shard-balance B] [--cache N]\n\
-         \x20       [--cache-quantum EPS] [--shared-cache N] [--cache-ttl SECS]\n\
+         \x20       [--domain D] [--cache N] [--cache-quantum EPS] [--shared-cache N]\n\
+         \x20       [--cache-ttl SECS]\n\
          \x20                                              constrained 2-D k-NN over a synthetic\n\
          \x20                                              disk/rectangle dataset on [0, D]²\n\
          \x20 range FILE --lo A --hi B --p P               probabilistic range query\n\
-         \x20 serve FILE [--threads T] [--queries FILE] [--shards N] [--shard-balance B]\n\
+         \x20 serve FILE [--threads T] [--queries FILE]\n\
          \x20       [--cache N] [--cache-quantum EPS]      long-lived query server: stream\n\
          \x20       [--shared-cache N] [--cache-ttl SECS]\n\
          \x20       [--data-dir DIR] [--checkpoint-every N] queries from stdin (or FILE) through\n\
@@ -122,7 +116,8 @@ fn print_usage() {
          \x20 shard-split FILE --out DIR [--shards N]      partition a dataset into per-shard\n\
          \x20             [--shard-balance width|quantile] durable data dirs (DIR/shard{{i}})\n\
          \x20                                              plus a DIR/shards.cpsm map for\n\
-         \x20                                              `route`\n\
+         \x20                                              `route` (equal-width slabs by\n\
+         \x20                                              default, equal-count with quantile)\n\
          \x20 shard-serve DIR [--listen ADDR] [--threads T] [--checkpoint-every N]\n\
          \x20                                              host one shard as its own process:\n\
          \x20                                              recover DIR (checkpoint + journal),\n\
@@ -220,20 +215,6 @@ fn parse_strategy(name: &str) -> Result<Strategy, UsageError> {
     }
 }
 
-/// Shared `--shard-balance width|quantile` parsing (equal-width slabs by
-/// default; `quantile` places slab boundaries at object-center quantiles
-/// so clustered data still shards evenly).
-fn shard_balance_args(bag: &mut ArgBag) -> Result<ShardBalance, UsageError> {
-    match bag.optional::<String>("shard-balance")? {
-        None => Ok(ShardBalance::default()),
-        Some(name) => ShardBalance::parse(&name).ok_or_else(|| {
-            UsageError(format!(
-                "unknown --shard-balance `{name}` (expected `width` or `quantile`)"
-            ))
-        }),
-    }
-}
-
 /// Shared `--cache N` / `--cache-quantum EPS` / `--shared-cache N` /
 /// `--cache-ttl SECS` parsing (capacity 0, the default, disables each
 /// tier). `--shared-cache` alone implies a per-thread L1 of the same
@@ -281,23 +262,10 @@ fn cache_args(bag: &mut ArgBag) -> Result<(CacheConfig, SharedCacheConfig), Usag
 }
 
 fn cpnn(bag: &mut ArgBag) -> Result<(), Box<dyn std::error::Error>> {
-    let path: PathBuf = bag.positional("dataset file")?;
-    let shards: usize = bag.optional("shards")?.unwrap_or(1);
-    let balance = shard_balance_args(bag)?;
+    let db = load(bag)?;
     let batch = bag.optional::<usize>("batch")?;
     let (cache, shared_cache) = cache_args(bag)?;
-    // One storage layout, built once from the snapshot's raw objects: a
-    // ShardedDb whose single-shard case *is* the unsharded database
-    // (equivalence is property-tested), so there is no second code path.
-    let db = UncertainDb::build_sharded_with(load_objects_from_path(&path)?, shards, balance)?;
-    if shards > 1 {
-        eprintln!(
-            "sharded into {} domain slabs: sizes {:?}",
-            db.num_shards(),
-            db.shard_sizes()
-        );
-    }
-    let mut cfg = db.pipeline_config();
+    let mut cfg = db.config().pipeline();
     cfg.cache = cache;
     cfg.shared_cache = shared_cache;
     if let Some(count) = batch {
@@ -328,8 +296,7 @@ fn warn_snapped(cache: &CacheConfig, coords: &[f64]) {
     }
 }
 
-/// Shared `--q/--p/--delta/--strategy` parsing for the one-shot `cpnn`
-/// paths (flat and sharded).
+/// `--q/--p/--delta/--strategy` parsing for the one-shot `cpnn` path.
 fn cpnn_query_args(bag: &mut ArgBag) -> Result<(CpnnQuery, Strategy), Box<dyn std::error::Error>> {
     let q: f64 = bag.required("q")?;
     let p: f64 = bag.required("p")?;
@@ -359,7 +326,7 @@ fn print_cpnn_result(res: &cpnn_core::CpnnResult) {
     }
 }
 
-/// Parsed arguments shared by the flat and sharded `--batch` paths.
+/// Parsed `--batch` arguments.
 struct BatchArgs {
     p: f64,
     delta: f64,
@@ -387,26 +354,21 @@ fn batch_args(bag: &mut ArgBag) -> Result<BatchArgs, Box<dyn std::error::Error>>
     })
 }
 
-/// `cpnn FILE --batch N [--shards S]`: evaluate `N` random query points
-/// concurrently through the shard-aware batch executor (`(query, shard)`
-/// work units; one shard is the unsharded case) and report aggregate
-/// statistics.
+/// `cpnn FILE --batch N`: evaluate `N` random query points concurrently
+/// through the batch executor and report aggregate statistics.
 fn cpnn_batch(
     bag: &mut ArgBag,
-    db: &ShardedDb<UncertainDb>,
+    db: &UncertainDb,
     count: usize,
     cfg: &cpnn_core::PipelineConfig,
 ) -> Result<(), Box<dyn std::error::Error>> {
     let a = batch_args(bag)?;
-    let (lo, hi) = db
-        .extent()
-        .map(|e| (e.lo[0], e.hi[0]))
-        .unwrap_or((0.0, 1.0));
+    let (lo, hi) = db.domain().unwrap_or((0.0, 1.0));
     let jobs: Vec<(f64, QuerySpec)> = query_points_in(a.seed, count, lo, hi)
         .into_iter()
         .map(|q| (q, QuerySpec::nn(a.p, a.delta, a.strategy)))
         .collect();
-    let out = BatchExecutor::new(a.threads).run_sharded(db, &jobs, cfg);
+    let out = BatchExecutor::new(a.threads).run(db, &jobs, cfg);
     print_batch_outcome(&out)
 }
 
@@ -475,8 +437,7 @@ fn knn(bag: &mut ArgBag) -> Result<(), Box<dyn std::error::Error>> {
 
 /// `cpnn knn2d`: constrained probabilistic k-NN over a synthetic 2-D
 /// dataset (mixed uniform disks and rectangles) — the ROADMAP's "2-D k-NN"
-/// workload, running `pipeline::cpnn` with `k > 1` over `UncertainDb2d`,
-/// optionally domain-sharded with `--shards`.
+/// workload, running `pipeline::cpnn` with `k > 1` over `UncertainDb2d`.
 fn knn2d(bag: &mut ArgBag) -> Result<(), Box<dyn std::error::Error>> {
     let qx: f64 = bag.required("qx")?;
     let qy: f64 = bag.required("qy")?;
@@ -486,8 +447,6 @@ fn knn2d(bag: &mut ArgBag) -> Result<(), Box<dyn std::error::Error>> {
     let count: usize = bag.optional("count")?.unwrap_or(5_000);
     let seed: u64 = bag.optional("seed")?.unwrap_or(0x2D);
     let domain: f64 = bag.optional("domain")?.unwrap_or(1_000.0);
-    let shards: usize = bag.optional("shards")?.unwrap_or(1);
-    let balance = shard_balance_args(bag)?;
     let (cache, shared_cache) = cache_args(bag)?;
     bag.finish()?;
     let cfg2d = Synthetic2dConfig {
@@ -502,19 +461,16 @@ fn knn2d(bag: &mut ArgBag) -> Result<(), Box<dyn std::error::Error>> {
         ))));
     }
     let objects = objects_2d(seed, cfg2d);
-    let db = UncertainDb2d::build_sharded_with(objects, shards, balance)?;
+    let db = UncertainDb2d::build(objects)?;
     let spec = QuerySpec::knn(k, p, delta, Strategy::Verified);
-    let mut cfg = db.pipeline_config();
-    cfg.cache = cache;
-    cfg.shared_cache = shared_cache;
+    let cfg = cpnn_core::PipelineConfig {
+        cache,
+        shared_cache,
+        ..Default::default()
+    };
     warn_snapped(&cfg.cache, &[qx, qy]);
     let res = pipeline::cpnn(&db, &[qx, qy], &spec, &cfg)?;
-    println!(
-        "{} objects ({} shard(s), sizes {:?}), query ({qx}, {qy}), k = {k}, P = {p}",
-        db.len(),
-        db.num_shards(),
-        db.shard_sizes()
-    );
+    println!("{} objects, query ({qx}, {qy}), k = {k}, P = {p}", db.len());
     println!(
         "answers: {:?}  ({} candidates, {} subregions, {} integrations, {:?})",
         res.answers.iter().map(|id| id.0).collect::<Vec<_>>(),
@@ -556,8 +512,7 @@ the next query/stats line — or end of input — flushes them, printing one
 `update v<version> objects=<n> batch=<burst>` line per applied op (or
 `update rejected: <err>`). A query therefore always observes every
 update queued before it. Relevant flags: --threads T (worker pool),
---shards N (domain partitioning; updates path-copy only the owning
-shard), --shard-balance width|quantile (slab scheme), --cache N
+--cache N
 [--cache-quantum EPS] (verification-state cache; updates invalidate it
 incrementally by region), --shared-cache N [--cache-ttl SECS] (a
 process-wide second cache tier all workers consult on local misses and
@@ -581,11 +536,9 @@ responses stream back in submission order as
 /// update queued before it); each response reports the snapshot version
 /// that served it.
 ///
-/// The backend is always a domain-partitioned [`ShardedDb`] (`--shards`
-/// slabs, default 1; `--shard-balance quantile` for equal-count slabs):
-/// updates **path-copy** only the owning shard — O(log |shard|)
-/// structural edits, never rebuilds. The single-shard case is the
-/// unsharded behavior.
+/// The backend is one flat [`UncertainDb`]: updates **path-copy** the
+/// persistent index — O(log n) structural edits, never rebuilds.
+/// Sharding across processes is `shard-split` / `shard-serve` / `route`.
 ///
 /// With `--data-dir DIR` the session is durable: a
 /// [`FileBackend`] is attached before any write is accepted, so every
@@ -603,27 +556,24 @@ fn serve(bag: &mut ArgBag) -> Result<(), Box<dyn std::error::Error>> {
         None => None,
     };
     let threads: usize = bag.optional("threads")?.unwrap_or(0);
-    let shards: usize = bag.optional("shards")?.unwrap_or(1);
-    let balance = shard_balance_args(bag)?;
     let queries: Option<PathBuf> = bag.optional("queries")?;
     let (cache, shared_cache) = cache_args(bag)?;
     let data_dir: Option<PathBuf> = bag.optional("data-dir")?;
     let checkpoint_every: u64 = bag.optional("checkpoint-every")?.unwrap_or(0);
     bag.finish()?;
 
-    // Recover from the data directory when it already holds a checkpoint;
-    // otherwise seed from the positional FILE (building the sharded store
-    // directly from the snapshot's objects — one index build total, not a
-    // flat database torn down and re-sharded).
+    // Recover from the data directory when it already holds a checkpoint
+    // (older builds checkpointed sharded databases; those read back
+    // flattened); otherwise seed from the positional FILE.
     let mut backend = match &data_dir {
         Some(dir) => Some(FileBackend::open(dir)?),
         None => None,
     };
     let recovered = match backend.as_mut() {
-        Some(b) => b.recover::<ShardedDb<UncertainDb>>(&EngineConfig::default())?,
+        Some(b) => b.recover::<UncertainDb>(&EngineConfig::default())?,
         None => None,
     };
-    let (sharded, initial_version) = match recovered {
+    let (db, initial_version) = match recovered {
         Some(rec) => {
             if let Some(off) = rec.torn_at {
                 eprintln!(
@@ -640,27 +590,17 @@ fn serve(bag: &mut ArgBag) -> Result<(), Box<dyn std::error::Error>> {
                     .expect("recovery implies data dir")
                     .display()
             );
-            if shards != 1 && rec.model.num_shards() != shards {
-                eprintln!(
-                    "note: --shards {shards} ignored — the recovered layout has {} shard(s) \
-                     (sharding is fixed at seed time)",
-                    rec.model.num_shards()
-                );
-            }
             (rec.model, rec.version)
         }
         None => {
             let path = path.ok_or("missing dataset file (and --data-dir holds no checkpoint)")?;
-            let db =
-                UncertainDb::build_sharded_with(load_objects_from_path(&path)?, shards, balance)?;
-            (db, 0)
+            (load_from_path(&path)?, 0)
         }
     };
-    let mut pipeline = sharded.pipeline_config();
+    let mut pipeline = db.config().pipeline();
     pipeline.cache = cache;
     pipeline.shared_cache = shared_cache;
-    let num_shards = sharded.num_shards();
-    let server = QueryServer::start_at(sharded, initial_version, threads, pipeline);
+    let server = QueryServer::start_at(db, initial_version, threads, pipeline);
     if let Some(backend) = backend {
         // Attach before accepting any write, then checkpoint immediately:
         // a seeded database becomes durable from line one, and a recovered
@@ -674,9 +614,8 @@ fn serve(bag: &mut ArgBag) -> Result<(), Box<dyn std::error::Error>> {
         since: 0,
     };
     eprintln!(
-        "serving on {} worker thread(s) over {} shard(s); send `quit` or EOF to stop",
-        server.threads(),
-        num_shards
+        "serving on {} worker thread(s); send `quit` or EOF to stop",
+        server.threads()
     );
 
     // On a terminal, each response is awaited before the next prompt read
@@ -859,7 +798,7 @@ impl CheckpointPolicy {
     /// `None`) or with `every == 0`.
     fn after_burst(
         &mut self,
-        server: &QueryServer<ShardedDb<UncertainDb>>,
+        server: &QueryServer<UncertainDb>,
     ) -> Result<(), cpnn_core::CoreError> {
         if self.every == 0 {
             return Ok(());
@@ -880,7 +819,7 @@ impl CheckpointPolicy {
 /// (inside `flush_writes`); `policy` decides when the journal gets
 /// folded into a fresh checkpoint.
 fn flush_updates(
-    server: &QueryServer<ShardedDb<UncertainDb>>,
+    server: &QueryServer<UncertainDb>,
     queued: &mut Vec<Ticket<UpdateOutcome>>,
     policy: &mut CheckpointPolicy,
     out: &mut impl std::io::Write,

@@ -4,9 +4,9 @@
 //! against an uninterrupted single-process `serve` run of the same
 //! workload, that:
 //!
-//! - routed answers match `serve --shards N` line for line (answers and
-//!   candidate counts; timings and version counters are process-local
-//!   and excluded),
+//! - routed answers match a plain (unpartitioned) `serve` line for line
+//!   (answers and candidate counts; timings and version counters are
+//!   process-local and excluded),
 //! - a SIGKILLed shard degrades its queries to a typed `unavailable`
 //!   line while the surviving shard keeps answering correctly,
 //! - restarting the dead shard recovers its durable data dir
@@ -129,7 +129,7 @@ fn routed_fleet_matches_serve_and_survives_kill_dash_nine() {
                             100.5 0.3\n0.5 0.3\n\
                             0.5 0.3\n\
                             100.5 0.3\nknn 100.5 2 0.2\nquit\n";
-    let serve = cpnn(&["serve", data.to_str().unwrap(), "--shards", "2"])
+    let serve = cpnn(&["serve", data.to_str().unwrap()])
         .stdin(Stdio::piped())
         .stdout(Stdio::piped())
         .stderr(Stdio::null())

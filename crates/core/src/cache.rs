@@ -91,7 +91,7 @@ use crate::subregion::SubregionTable;
 
 /// Tuning for a per-thread [`VerifyCache`]. Lives inside
 /// [`crate::PipelineConfig`], so every execution surface — one-shot,
-/// batch, server, sharded — picks it up without new plumbing.
+/// batch, server — picks it up without new plumbing.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CacheConfig {
     /// Maximum memoized query points per thread; `0` disables caching

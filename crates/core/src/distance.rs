@@ -95,9 +95,9 @@ impl DistanceDistribution {
     /// [`HistogramPdf::from_raw_parts`] (which validates every histogram
     /// invariant without renormalizing) and wraps it here. Because the
     /// round trip preserves every `f64` bit, a routed candidate's
-    /// distribution compares equal to the one a single-process
-    /// [`ShardedDb`](crate::shard::ShardedDb) would have built, which is
-    /// what makes routed answers bit-identical to local ones
+    /// distribution compares equal to the one a single-process database
+    /// builds, which is what makes routed answers bit-identical to local
+    /// ones
     /// (property-tested in `crates/router/tests/proptest_router.rs`).
     pub fn from_histogram(hist: HistogramPdf) -> Self {
         Self { hist }

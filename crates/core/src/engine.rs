@@ -170,13 +170,9 @@ impl CowModel for UncertainDb {
 
 /// One [`UncertainDb`] is one shard: it owns its objects and its own
 /// R-tree, so a [`ShardedDb`] of these partitions the index along with the
-/// data. The single-shard case is just `shards = 1`.
+/// data.
 impl ShardableModel for UncertainDb {
     type Config = EngineConfig;
-
-    fn shard_config(&self) -> EngineConfig {
-        self.config
-    }
 
     fn shard_objects(&self) -> Vec<UncertainObject> {
         self.store.objects()
@@ -213,20 +209,10 @@ impl UncertainDb {
         self.store.index().params()
     }
 
-    /// Partition `objects` into a domain-sharded database
-    /// ([`ShardedDb`]): each shard owns its own R-tree, queries fan out
-    /// only to overlapping shards, and updates path-copy only the owning
-    /// shard. `shards = 1` is equivalent to an unsharded build.
-    pub fn build_sharded(
-        objects: Vec<UncertainObject>,
-        shards: usize,
-    ) -> Result<ShardedDb<UncertainDb>> {
-        ShardedDb::build(objects, EngineConfig::default(), shards)
-    }
-
-    /// As [`build_sharded`](Self::build_sharded) with an explicit
-    /// partitioning scheme (equal-width slabs or equal-count quantiles —
-    /// see [`ShardBalance`]).
+    /// Partition `objects` into `shards` domain slabs ([`ShardedDb`], one
+    /// R-tree per slab) under the default configuration: equal-width
+    /// slabs or equal-count quantiles (see [`ShardBalance`]). This is the
+    /// layout `cpnn shard-split` writes for the router's shard processes.
     pub fn build_sharded_with(
         objects: Vec<UncertainObject>,
         shards: usize,

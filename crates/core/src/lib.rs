@@ -28,31 +28,34 @@
 //! and k-NN — share one generic implementation of this flow in
 //! [`pipeline`], parameterized by a [`pipeline::DistanceModel`].
 //!
-//! ## Sharding
+//! ## Partitioning
 //!
-//! [`shard::ShardedDb`] partitions any [`shard::ShardableModel`] by
-//! domain (equal-width slabs or equal-count quantiles —
-//! [`shard::ShardBalance`]): each shard owns its own R-tree, a query
-//! fans out only to shards overlapping its candidate horizon, and the
-//! merged candidates run the shared verify/refine flow once (results
-//! are identical to unsharded evaluation — property-tested).
-//! `insert`/`remove` path-copy only the owning shard.
+//! Queries run over one flat database; sharding lives in the process
+//! fleet of `cpnn-router` (`cpnn shard-split` → `shard-serve` →
+//! `route`). [`shard`] is the partitioner that fleet is built from:
+//! [`shard::ShardedDb`] cuts any [`shard::ShardableModel`] into domain
+//! slabs (equal-width or equal-count — [`shard::ShardBalance`]), each
+//! with its own R-tree, and [`shard::select_overlapping`] /
+//! [`shard::slab_of`] are the router's fan-out and insert-routing rules.
+//! The router merges shard filter output through
+//! [`pipeline::fan_out_filter`] and runs the shared verify/refine flow
+//! once, so routed answers are identical to flat evaluation
+//! (property-tested).
 //!
 //! ## Persistent storage
 //!
 //! Storage is copy-on-write all the way down: objects live in the
 //! leaves of a persistent path-copying R-tree, with a persistent id map
 //! alongside ([`store::IndexedStore`] over [`cpnn_rtree::SpatialIndex`]).
-//! Any [`store::CowModel`] — the 1-D/2-D databases and [`ShardedDb`] —
-//! produces an O(log n) successor snapshot per update instead of a
-//! rebuild, and old handles keep answering for exactly their historical
-//! contents (property-tested in `tests/proptest_persistent.rs`).
+//! Any [`store::CowModel`] — the 1-D/2-D databases — produces an
+//! O(log n) successor snapshot per update instead of a rebuild, and old
+//! handles keep answering for exactly their historical contents (property-tested in `tests/proptest_persistent.rs`).
 //!
 //! ## Durability
 //!
 //! Snapshots can outlive the process: [`persist`] defines a versioned,
-//! dimension-tagged, checksummed snapshot format (1-D, 2-D, and sharded
-//! — [`persist::PersistentModel`]), and [`storage`] composes it with a
+//! dimension-tagged, checksummed snapshot format (1-D and 2-D —
+//! [`persist::PersistentModel`]), and [`storage`] composes it with a
 //! CRC'd, fsync'd **write-ahead journal** behind the
 //! [`storage::StorageBackend`] seam. A [`server::QueryServer`] with a
 //! backend [attached](server::QueryServer::attach_storage) makes every

@@ -1,11 +1,9 @@
 //! Snapshot persistence for uncertain databases.
 //!
 //! A small self-contained binary format (no external serialization
-//! crates), generalized in the durability PR from the original 1-D-only
-//! layout to a **versioned, dimension-tagged** family that covers every
-//! model the server can host — flat 1-D ([`UncertainDb`]), flat 2-D
-//! ([`UncertainDb2d`]), and sharded databases
-//! ([`crate::shard::ShardedDb`]), which checkpoint shard-by-shard:
+//! crates): a **versioned, dimension-tagged** family that covers every
+//! model the server can host — 1-D ([`UncertainDb`]) and 2-D
+//! ([`UncertainDb2d`]):
 //!
 //! ```text
 //! header  : magic "CPNN" | format version u32 (= 2) | dim u32
@@ -26,6 +24,12 @@
 //! checkpoints, so a recovered server resumes the citation sequence its
 //! clients saw before the crash (see [`crate::storage`]).
 //!
+//! Writers emit flat bodies only. Sharded bodies are what `cpnn serve
+//! --data-dir` checkpointed while it could host an in-process sharded
+//! database; the readers still accept them and flatten the slabs in slab
+//! order (the partition axis and boundaries are skipped), so those data
+//! directories recover as flat databases.
+//!
 //! Version-1 files (the original `magic | version | count | records`
 //! layout, implicitly 1-D flat) still load; files from a *future* format
 //! version fail with the dedicated [`SnapshotError::UnsupportedVersion`]
@@ -34,12 +38,6 @@
 //! constructors, so a corrupted or hand-edited snapshot can produce a
 //! checksum error or a validation error but never a malformed in-memory
 //! database.
-//!
-//! Sharded bodies persist the partition **axis and exact slab
-//! boundaries** rather than re-deriving them from the recovered objects:
-//! a database whose contents drifted away from the build-time
-//! distribution (via the serve lane's inserts/removes) must recover with
-//! the *same* routing it had before the crash, bit for bit.
 
 use std::io::{self, Read, Write};
 
@@ -47,9 +45,8 @@ use cpnn_pdf::HistogramPdf;
 
 use crate::engine::{EngineConfig, UncertainDb};
 use crate::engine2d::{Engine2dConfig, Object2d, UncertainDb2d};
-use crate::error::CoreError;
+use crate::error::{CoreError, Result};
 use crate::object::{ObjectId, UncertainObject};
-use crate::shard::{ShardableModel, ShardedDb};
 use crate::store::CowModel;
 
 const MAGIC: &[u8; 4] = b"CPNN";
@@ -60,7 +57,7 @@ const LEGACY_VERSION: u32 = 1;
 
 /// `kind` header tag for flat (single-model) bodies.
 pub const KIND_FLAT: u8 = 0;
-/// `kind` header tag for sharded bodies.
+/// `kind` header tag for sharded bodies (read, never written).
 pub const KIND_SHARDED: u8 = 1;
 
 /// Errors specific to snapshot encoding/decoding.
@@ -266,33 +263,31 @@ impl<R: Read> SnapshotReader<R> {
 /// format — the persistence seam the [`crate::storage`] backends and the
 /// server's durability hooks are generic over.
 ///
-/// The split between object-level and body-level methods is deliberate:
 /// `write_object`/`read_object` serialize **one** record and double as
-/// the WAL insert-op payload codec, while `write_body`/`read_body` cover
-/// whole-model layout (counts, shard boundaries). Tuning state
-/// ([`Context`](Self::Context)) is *not* persisted — recovery composes
-/// stored data with caller-supplied configuration, so a snapshot written
-/// at 48 distance bins can be reopened at 96.
+/// the WAL insert-op payload codec; a body is the object list, which
+/// [`stored_objects`](Self::stored_objects) and
+/// [`from_objects`](Self::from_objects) move in and out of the model.
+/// Tuning state ([`Context`](Self::Context)) is *not* persisted — recovery
+/// composes stored data with caller-supplied configuration, so a snapshot
+/// written at 48 distance bins can be reopened at 96.
 pub trait PersistentModel: CowModel {
     /// Engine/tuning configuration supplied at load time.
     type Context: Clone;
     /// Spatial dimension tag stamped into snapshot headers.
     const DIM: u32;
-    /// Layout kind tag ([`KIND_FLAT`] or [`KIND_SHARDED`]).
-    const KIND: u8;
 
     /// Serialize one object record.
     fn write_object<W: Write>(object: &Self::Object, w: &mut SnapshotWriter<W>) -> io::Result<()>;
     /// Deserialize and re-validate one object record.
     fn read_object<R: Read>(r: &mut SnapshotReader<R>) -> SnapshotResult<Self::Object>;
-    /// Serialize the model body (everything between header and trailer).
-    fn write_body<W: Write>(&self, w: &mut SnapshotWriter<W>) -> io::Result<()>;
-    /// Rebuild the model from a body.
-    fn read_body<R: Read>(r: &mut SnapshotReader<R>, ctx: &Self::Context) -> SnapshotResult<Self>;
+    /// The stored objects, in the order a checkpoint writes them.
+    fn stored_objects(&self) -> Vec<Self::Object>;
+    /// Build the model over recovered objects.
+    fn from_objects(objects: Vec<Self::Object>, ctx: &Self::Context) -> Result<Self>;
 }
 
 /// Serialize any [`PersistentModel`] with its published snapshot
-/// `version` into `w` (header, body, checksum trailer).
+/// `version` into `w` (header, flat body, checksum trailer).
 pub fn write_model<M: PersistentModel, W: Write>(
     model: &M,
     snapshot_version: u64,
@@ -302,25 +297,37 @@ pub fn write_model<M: PersistentModel, W: Write>(
     w.put(MAGIC)?;
     w.put_u32(VERSION)?;
     w.put_u32(M::DIM)?;
-    w.put_u8(M::KIND)?;
+    w.put_u8(KIND_FLAT)?;
     w.put_u64(snapshot_version)?;
-    model.write_body(&mut w)?;
+    write_object_list::<M, W>(&model.stored_objects(), &mut w)?;
     w.finish()?;
     Ok(())
 }
 
 /// Deserialize a [`PersistentModel`] from `r`, returning the model and
 /// the snapshot version recorded at checkpoint time. Accepts the current
-/// format and (for 1-D flat models) legacy version-1 files, which carry
-/// snapshot version 0.
+/// format with a flat or sharded body (a sharded body's slabs are
+/// concatenated in slab order) and, for 1-D models, legacy version-1
+/// files, which carry snapshot version 0. Any other body kind fails with
+/// [`SnapshotError::BadHeader`].
 pub fn read_model<M: PersistentModel, R: Read>(r: R, ctx: &M::Context) -> SnapshotResult<(M, u64)> {
+    let (objects, snapshot_version) = read_objects::<M, R>(r)?;
+    let model = M::from_objects(objects, ctx).map_err(SnapshotError::Invalid)?;
+    Ok((model, snapshot_version))
+}
+
+/// The objects of a snapshot and its snapshot version, with no index
+/// build — the one body parser behind [`read_model`] and
+/// [`load_objects`]. The checksum trailer is verified before anything is
+/// returned.
+fn read_objects<M: PersistentModel, R: Read>(r: R) -> SnapshotResult<(Vec<M::Object>, u64)> {
     let mut r = SnapshotReader::new(r);
     let format = read_magic_and_version(&mut r)?;
-    let snapshot_version = if format == LEGACY_VERSION {
-        if M::DIM != 1 || M::KIND != KIND_FLAT {
+    let (objects, snapshot_version) = if format == LEGACY_VERSION {
+        if M::DIM != 1 {
             return Err(SnapshotError::BadHeader);
         }
-        0
+        (read_object_list::<M, R>(&mut r)?, 0)
     } else {
         let dim = r.take_u32()?;
         if dim != M::DIM {
@@ -329,14 +336,17 @@ pub fn read_model<M: PersistentModel, R: Read>(r: R, ctx: &M::Context) -> Snapsh
                 expected: M::DIM,
             });
         }
-        if r.take_u8()? != M::KIND {
-            return Err(SnapshotError::BadHeader);
-        }
-        r.take_u64()?
+        let kind = r.take_u8()?;
+        let snapshot_version = r.take_u64()?;
+        let objects = match kind {
+            KIND_FLAT => read_object_list::<M, R>(&mut r)?,
+            KIND_SHARDED => read_slab_lists::<M, R>(&mut r)?,
+            _ => return Err(SnapshotError::BadHeader),
+        };
+        (objects, snapshot_version)
     };
-    let model = M::read_body(&mut r, ctx)?;
     r.verify_trailer()?;
-    Ok((model, snapshot_version))
+    Ok((objects, snapshot_version))
 }
 
 /// Serialize any [`PersistentModel`] to a file path (see
@@ -481,6 +491,31 @@ fn read_object_list<M: PersistentModel, R: Read>(
     Ok(objects)
 }
 
+/// A sharded body, flattened: the partition axis and slab boundaries are
+/// checked for shape and skipped, and the slabs' object lists are
+/// concatenated in slab order.
+fn read_slab_lists<M: PersistentModel, R: Read>(
+    r: &mut SnapshotReader<R>,
+) -> SnapshotResult<Vec<M::Object>> {
+    let _axis = r.take_u32()?;
+    let nbounds = r.take_u32()? as usize;
+    if !(2..=(1 << 16) + 1).contains(&nbounds) {
+        return Err(SnapshotError::BadHeader);
+    }
+    for _ in 0..nbounds {
+        r.take_f64()?;
+    }
+    let nshards = r.take_u32()? as usize;
+    if nshards + 1 != nbounds {
+        return Err(SnapshotError::BadHeader);
+    }
+    let mut objects = Vec::new();
+    for _ in 0..nshards {
+        objects.extend(read_object_list::<M, R>(r)?);
+    }
+    Ok(objects)
+}
+
 // ---------------------------------------------------------------------------
 // Model impls
 // ---------------------------------------------------------------------------
@@ -488,7 +523,6 @@ fn read_object_list<M: PersistentModel, R: Read>(
 impl PersistentModel for UncertainDb {
     type Context = EngineConfig;
     const DIM: u32 = 1;
-    const KIND: u8 = KIND_FLAT;
 
     fn write_object<W: Write>(
         object: &UncertainObject,
@@ -499,19 +533,17 @@ impl PersistentModel for UncertainDb {
     fn read_object<R: Read>(r: &mut SnapshotReader<R>) -> SnapshotResult<UncertainObject> {
         read_object_1d(r)
     }
-    fn write_body<W: Write>(&self, w: &mut SnapshotWriter<W>) -> io::Result<()> {
-        write_object_list::<Self, W>(&self.objects(), w)
+    fn stored_objects(&self) -> Vec<UncertainObject> {
+        self.objects()
     }
-    fn read_body<R: Read>(r: &mut SnapshotReader<R>, ctx: &EngineConfig) -> SnapshotResult<Self> {
-        let objects = read_object_list::<Self, R>(r)?;
-        UncertainDb::with_config(objects, *ctx).map_err(SnapshotError::Invalid)
+    fn from_objects(objects: Vec<UncertainObject>, ctx: &EngineConfig) -> Result<Self> {
+        UncertainDb::with_config(objects, *ctx)
     }
 }
 
 impl PersistentModel for UncertainDb2d {
     type Context = Engine2dConfig;
     const DIM: u32 = 2;
-    const KIND: u8 = KIND_FLAT;
 
     fn write_object<W: Write>(object: &Object2d, w: &mut SnapshotWriter<W>) -> io::Result<()> {
         write_object_2d(object, w)
@@ -519,64 +551,11 @@ impl PersistentModel for UncertainDb2d {
     fn read_object<R: Read>(r: &mut SnapshotReader<R>) -> SnapshotResult<Object2d> {
         read_object_2d(r)
     }
-    fn write_body<W: Write>(&self, w: &mut SnapshotWriter<W>) -> io::Result<()> {
-        write_object_list::<Self, W>(&self.objects(), w)
+    fn stored_objects(&self) -> Vec<Object2d> {
+        self.objects()
     }
-    fn read_body<R: Read>(r: &mut SnapshotReader<R>, ctx: &Engine2dConfig) -> SnapshotResult<Self> {
-        let objects = read_object_list::<Self, R>(r)?;
-        UncertainDb2d::with_config(objects, *ctx).map_err(SnapshotError::Invalid)
-    }
-}
-
-impl<M> PersistentModel for ShardedDb<M>
-where
-    M: ShardableModel + PersistentModel,
-{
-    type Context = <M as ShardableModel>::Config;
-    const DIM: u32 = M::DIM;
-    const KIND: u8 = KIND_SHARDED;
-
-    fn write_object<W: Write>(object: &M::Object, w: &mut SnapshotWriter<W>) -> io::Result<()> {
-        M::write_object(object, w)
-    }
-    fn read_object<R: Read>(r: &mut SnapshotReader<R>) -> SnapshotResult<M::Object> {
-        M::read_object(r)
-    }
-    fn write_body<W: Write>(&self, w: &mut SnapshotWriter<W>) -> io::Result<()> {
-        w.put_u32(self.partition_axis() as u32)?;
-        let bounds = self.slab_bounds();
-        w.put_u32(bounds.len() as u32)?;
-        for &b in bounds {
-            w.put_f64(b)?;
-        }
-        w.put_u32(self.num_shards() as u32)?;
-        for i in 0..self.num_shards() {
-            write_object_list::<M, W>(&self.shard_model(i).shard_objects(), w)?;
-        }
-        Ok(())
-    }
-    fn read_body<R: Read>(
-        r: &mut SnapshotReader<R>,
-        ctx: &<M as ShardableModel>::Config,
-    ) -> SnapshotResult<Self> {
-        let axis = r.take_u32()? as usize;
-        let nbounds = r.take_u32()? as usize;
-        if !(2..=(1 << 16) + 1).contains(&nbounds) {
-            return Err(SnapshotError::BadHeader);
-        }
-        let mut bounds = Vec::with_capacity(nbounds);
-        for _ in 0..nbounds {
-            bounds.push(r.take_f64()?);
-        }
-        let nshards = r.take_u32()? as usize;
-        if nshards + 1 != nbounds {
-            return Err(SnapshotError::BadHeader);
-        }
-        let mut buckets = Vec::with_capacity(nshards);
-        for _ in 0..nshards {
-            buckets.push(read_object_list::<M, R>(r)?);
-        }
-        ShardedDb::from_parts(axis, bounds, buckets, ctx.clone()).map_err(SnapshotError::Invalid)
+    fn from_objects(objects: Vec<Object2d>, ctx: &Engine2dConfig) -> Result<Self> {
+        UncertainDb2d::with_config(objects, *ctx)
     }
 }
 
@@ -601,54 +580,12 @@ pub fn load_snapshot_with<R: Read>(r: R, config: EngineConfig) -> SnapshotResult
 }
 
 /// Deserialize just the 1-D objects — no index build. The entry point for
-/// callers that construct their own storage over the snapshot (e.g. a
-/// [`crate::shard::ShardedDb`], which would otherwise pay a full flat
-/// database build only to re-shard it). Accepts legacy version-1 files,
-/// current flat files, and current *sharded* files (flattened in slab
-/// order, so the caller may re-partition freely).
+/// callers that construct their own storage over the snapshot (e.g.
+/// `cpnn shard-split`, which partitions them into a
+/// [`crate::shard::ShardedDb`] and would otherwise pay a full flat build
+/// only to re-partition it). Accepts everything [`read_model`] accepts.
 pub fn load_objects<R: Read>(r: R) -> SnapshotResult<Vec<UncertainObject>> {
-    let mut r = SnapshotReader::new(r);
-    let format = read_magic_and_version(&mut r)?;
-    let objects = if format == LEGACY_VERSION {
-        read_object_list::<UncertainDb, R>(&mut r)?
-    } else {
-        let dim = r.take_u32()?;
-        if dim != 1 {
-            return Err(SnapshotError::DimensionMismatch {
-                found: dim,
-                expected: 1,
-            });
-        }
-        match r.take_u8()? {
-            KIND_FLAT => {
-                let _snapshot_version = r.take_u64()?;
-                read_object_list::<UncertainDb, R>(&mut r)?
-            }
-            KIND_SHARDED => {
-                let _snapshot_version = r.take_u64()?;
-                let _axis = r.take_u32()?;
-                let nbounds = r.take_u32()? as usize;
-                if !(2..=(1 << 16) + 1).contains(&nbounds) {
-                    return Err(SnapshotError::BadHeader);
-                }
-                for _ in 0..nbounds {
-                    let _ = r.take_f64()?;
-                }
-                let nshards = r.take_u32()? as usize;
-                if nshards + 1 != nbounds {
-                    return Err(SnapshotError::BadHeader);
-                }
-                let mut all = Vec::new();
-                for _ in 0..nshards {
-                    all.extend(read_object_list::<UncertainDb, R>(&mut r)?);
-                }
-                all
-            }
-            _ => return Err(SnapshotError::BadHeader),
-        }
-    };
-    r.verify_trailer()?;
-    Ok(objects)
+    read_objects::<UncertainDb, R>(r).map(|(objects, _)| objects)
 }
 
 /// Round-trip helper used by the CLI: save to a file path.
@@ -781,29 +718,48 @@ mod tests {
         assert_eq!(loaded.len(), db.len());
     }
 
-    #[test]
-    fn sharded_round_trip_preserves_partitioning() {
-        let (_, objects) = fig7_scenario();
-        let db: ShardedDb<UncertainDb> = UncertainDb::build_sharded(objects, 3).unwrap();
-        let mut buf = Vec::new();
-        write_model(&db, 9, &mut buf).unwrap();
-        let (loaded, version): (ShardedDb<UncertainDb>, u64) =
-            read_model(buf.as_slice(), &EngineConfig::default()).unwrap();
-        assert_eq!(version, 9);
-        assert_eq!(loaded.num_shards(), db.num_shards());
-        assert_eq!(loaded.partition_axis(), db.partition_axis());
-        assert_eq!(loaded.slab_bounds(), db.slab_bounds());
+    /// A kind-1 (sharded) body in the layout `serve --data-dir` used to
+    /// checkpoint: axis, slab boundaries, then one object list per slab.
+    fn sharded_bytes(slabs: &[Vec<UncertainObject>], kind: u8, snapshot_version: u64) -> Vec<u8> {
+        let mut w = SnapshotWriter::new(Vec::new());
+        w.put(MAGIC).unwrap();
+        w.put_u32(VERSION).unwrap();
+        w.put_u32(1).unwrap();
+        w.put_u8(kind).unwrap();
+        w.put_u64(snapshot_version).unwrap();
+        w.put_u32(0).unwrap();
+        w.put_u32(slabs.len() as u32 + 1).unwrap();
+        for i in 0..=slabs.len() {
+            w.put_f64(i as f64).unwrap();
+        }
+        w.put_u32(slabs.len() as u32).unwrap();
+        for slab in slabs {
+            write_object_list::<UncertainDb, _>(slab, &mut w).unwrap();
+        }
+        w.finish().unwrap()
     }
 
     #[test]
     fn sharded_snapshot_flattens_through_load_objects() {
         let (_, objects) = fig7_scenario();
         let n = objects.len();
-        let db: ShardedDb<UncertainDb> = UncertainDb::build_sharded(objects, 3).unwrap();
-        let mut buf = Vec::new();
-        write_model(&db, 0, &mut buf).unwrap();
+        let (low, high) = objects.split_at(n / 2);
+        let buf = sharded_bytes(&[low.to_vec(), Vec::new(), high.to_vec()], KIND_SHARDED, 9);
         let flat = load_objects(buf.as_slice()).unwrap();
-        assert_eq!(flat.len(), n);
+        let ids: Vec<ObjectId> = flat.iter().map(|o| o.id()).collect();
+        let want: Vec<ObjectId> = objects.iter().map(|o| o.id()).collect();
+        assert_eq!(ids, want, "slabs flatten in slab order");
+        // The flat reader takes the same body, with its snapshot version.
+        let (db, version): (UncertainDb, u64) =
+            read_model(buf.as_slice(), &EngineConfig::default()).unwrap();
+        assert_eq!(version, 9);
+        assert_eq!(db.len(), n);
+        // Any other body kind is a typed header error.
+        let bad = sharded_bytes(std::slice::from_ref(&objects), 7, 0);
+        assert!(matches!(
+            read_model::<UncertainDb, _>(bad.as_slice(), &EngineConfig::default()),
+            Err(SnapshotError::BadHeader)
+        ));
     }
 
     #[test]

@@ -652,9 +652,10 @@ where
 /// Run the strategy dispatch — verify → refine, exact, or Monte-Carlo —
 /// over an already-assembled candidate set.
 ///
-/// This is the back half of [`cpnn_with`]: the shard-aware batch executor
-/// calls it directly after merging per-shard filter results, so the merged
-/// evaluation is *the same code* as the unsharded one. `stats` carries
+/// This is the back half of [`cpnn_with`]: the socket router
+/// (`cpnn-router`) calls it directly after merging per-shard filter
+/// results, so the merged evaluation is *the same code* as the unsharded
+/// one. `stats` carries
 /// whatever the caller already measured (`total_objects`, `candidates`,
 /// `filter_time`, and the distribution-construction share of `init_time`);
 /// subregion-table construction time is added here.

@@ -20,8 +20,8 @@
 //! * **snapshot-swap updates** — the database lives behind an [`Arc`] in
 //!   a versioned [`Snapshot`]. Writers never mutate it in place: an
 //!   [`update`](QueryServer::update) builds a *new* model and swaps the
-//!   `Arc` atomically. For any [`CowModel`](crate::store::CowModel) (the 1-D/2-D databases and
-//!   [`ShardedDb`]) the successor is a **path copy** —
+//!   `Arc` atomically. For any [`CowModel`](crate::store::CowModel) (the
+//!   1-D/2-D databases) the successor is a **path copy** —
 //!   [`QueryServer::insert`] / [`QueryServer::remove`] are O(log n)
 //!   structural edits, never rebuilds. A worker pins the snapshot it
 //!   dequeued a job with, so every response is evaluated against exactly
@@ -114,8 +114,6 @@ use crate::pipeline::{
     cpnn_with, CpnnResult, DistanceModel, PipelineConfig, QueryScratch, QuerySpec,
 };
 use crate::shard::Extent;
-#[cfg(doc)]
-use crate::shard::ShardedDb;
 use crate::storage::{self, StorageBackend};
 
 /// How many published versions the region journal remembers. A worker
@@ -778,13 +776,11 @@ impl<M: DistanceModel> Drop for QueryServer<M> {
     }
 }
 
-/// Update surface for any [`PersistentModel`] (every [`CowModel`](crate::store::CowModel) in the
-/// crate implements it) — the 1-D/2-D databases (O(log n) store path
-/// copies) and [`ShardedDb`] (path copy of the owning shard only, all
-/// other shard `Arc`s shared between snapshots). Snapshot atomicity is
+/// Update surface for any [`PersistentModel`] — the 1-D/2-D databases,
+/// whose successors are O(log n) store path copies. Snapshot atomicity is
 /// unchanged: readers pin a whole model version and never observe a
-/// half-applied update (property-tested in `tests/proptest_server.rs` /
-/// `tests/proptest_shard.rs`). The [`PersistentModel`] bound (rather
+/// half-applied update (property-tested in `tests/proptest_server.rs`).
+/// The [`PersistentModel`] bound (rather
 /// than bare [`CowModel`](crate::store::CowModel)) lets these ops encode themselves for the
 /// write-ahead journal when a storage backend is attached.
 impl<M> QueryServer<M>
@@ -973,7 +969,6 @@ mod tests {
     use crate::engine::{EngineConfig, UncertainDb};
     use crate::object::UncertainObject;
     use crate::pipeline::{cpnn, Strategy};
-    use crate::shard::ShardedDb;
 
     fn db(n: u64) -> UncertainDb {
         let objects: Vec<UncertainObject> = (0..n)
@@ -1090,32 +1085,6 @@ mod tests {
         assert_eq!(pinned.version, 0);
         assert_eq!(pinned.model.len(), 8);
         assert_eq!(server.snapshot().model.len(), 6);
-    }
-
-    #[test]
-    fn sharded_server_updates_rebuild_only_the_owning_shard() {
-        let sharded = ShardedDb::<UncertainDb>::from_model(&db(40), 4).unwrap();
-        let server = QueryServer::start(sharded, 2, PipelineConfig::default());
-        let v0 = server.snapshot();
-        let snap = server
-            .insert(UncertainObject::uniform(ObjectId(700), 0.05, 0.15).unwrap())
-            .unwrap();
-        assert_eq!(snap.version, 1);
-        assert_eq!(snap.model.len(), 41);
-        // Per-shard COW: all but one shard Arc is shared with v0.
-        let shared = (0..4)
-            .filter(|&s| std::ptr::eq(v0.model.shard_model(s), snap.model.shard_model(s)))
-            .count();
-        assert_eq!(shared, 3);
-        let served = server.submit(0.1, spec()).wait();
-        assert_eq!(served.snapshot_version, 1);
-        assert!(served.result.unwrap().answers.contains(&ObjectId(700)));
-        let removed = server.remove(ObjectId(700)).unwrap();
-        assert_eq!(removed.model.len(), 40);
-        let dup = server.insert(UncertainObject::uniform(ObjectId(3), 0.0, 1.0).unwrap());
-        assert!(dup.is_err());
-        assert_eq!(server.snapshot().version, 2);
-        server.shutdown();
     }
 
     #[test]

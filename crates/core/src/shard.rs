@@ -1,10 +1,11 @@
-//! Domain-partitioned sharded storage: [`ShardedDb`] splits an uncertain
-//! database into shards along its domain and fans each query out only to
-//! the shards that can matter.
+//! The domain partitioner behind `cpnn shard-split` and the socket router
+//! (`cpnn-router`): [`ShardedDb`] splits an uncertain database into
+//! slabs along its domain, and [`select_overlapping`] / [`slab_of`] are
+//! the fan-out and routing rules the router applies to those slabs.
 //!
 //! The paper's filter → verify → refine pipeline partitions cleanly by
 //! domain: filtering prunes against a *horizon* (the `k`-th smallest far
-//! point, Sec. III / IV-A), so a query only ever needs the shards whose
+//! point, Sec. III / IV-A), so a query only ever needs the slabs whose
 //! extents intersect that horizon. Concretely:
 //!
 //! * **partitioning** — objects are assigned to `N` slabs of the
@@ -15,44 +16,45 @@
 //!   the object centers, which keeps shard populations balanced under
 //!   clustered data (Long Beach clustering makes the widest equal-width
 //!   shard ~2.4× the mean). Each shard is a complete [`ShardableModel`] —
-//!   it owns its own objects *and its own R-tree* — so the single-shard
-//!   case is literally `shards = 1`, with no second code path.
-//! * **fan-out** — [`ShardedDb::overlapping`] selects the shards a query
-//!   must visit (a static horizon bound from shard MBRs), and
+//!   it owns its own objects *and its own R-tree* — which `shard-split`
+//!   writes into one data directory per shard process.
+//! * **fan-out** — [`select_overlapping`] picks the shards a query must
+//!   visit (a static horizon bound from shard extents), and
 //!   [`crate::pipeline::fan_out_filter`] merges their survivor sets while
 //!   tightening the horizon incrementally. The merged candidates then run
-//!   through the *shared* verify/refine flow once — results are provably
-//!   identical to unsharded evaluation (see the equivalence argument on
+//!   through the *shared* verify/refine flow once, so a routed answer is
+//!   identical to flat evaluation (see the equivalence argument on
 //!   [`fan_out_filter`](crate::pipeline::fan_out_filter) and
 //!   `tests/proptest_shard.rs`).
-//! * **per-shard path-copying** — every shard sits behind an [`Arc`];
-//!   [`CowModel::with_inserted`] / [`CowModel::with_removed`] **path-copy
-//!   only the owning shard** (O(log |shard|) via the persistent store —
-//!   see [`crate::store`]) and share every other shard `Arc`, which is
-//!   what turns [`crate::server::QueryServer`] updates from rebuilds into
-//!   structural edits.
+//! * **routing** — [`slab_of`] sends an inserted object to the slab that
+//!   holds its region center, clamped into the outer slabs.
 //!
 //! ```
-//! use cpnn_core::{CpnnQuery, ObjectId, ShardedDb, Strategy, UncertainDb, UncertainObject};
+//! use cpnn_core::shard::{select_overlapping, ShardableModel};
+//! use cpnn_core::{DistanceModel, ObjectId, ShardedDb, UncertainDb, UncertainObject};
 //!
 //! let objects: Vec<UncertainObject> = (0..100)
 //!     .map(|i| UncertainObject::uniform(ObjectId(i), i as f64, i as f64 + 1.5).unwrap())
 //!     .collect();
 //! let sharded = ShardedDb::<UncertainDb>::build(objects, Default::default(), 4).unwrap();
 //! assert_eq!(sharded.num_shards(), 4);
-//! let res = sharded
-//!     .cpnn(&CpnnQuery::new(10.2, 0.3, 0.01), Strategy::Verified)
-//!     .unwrap();
-//! assert_eq!(res.answers, vec![ObjectId(9), ObjectId(10)]);
+//! assert_eq!(sharded.shard_sizes().iter().sum::<usize>(), 100);
+//! // A query near 10 visits the two low slabs; the far ones are pruned.
+//! let summaries: Vec<_> = (0..sharded.num_shards())
+//!     .map(|i| {
+//!         let shard = sharded.shard_model(i);
+//!         (shard.model_extent(), shard.total_objects())
+//!     })
+//!     .collect();
+//! let visit: Vec<usize> = select_overlapping(&summaries, &10.2, 1)
+//!     .into_iter()
+//!     .map(|(_, shard)| shard)
+//!     .collect();
+//! assert_eq!(visit, vec![0, 1]);
 //! ```
 
-use std::sync::Arc;
-use std::time::Instant;
-
-use crate::engine::{CpnnQuery, CpnnResult, PnnResult, Strategy};
 use crate::error::{CoreError, Result};
-use crate::object::ObjectId;
-use crate::pipeline::{self, DistanceModel, Filtered, PipelineConfig, QuerySpec};
+use crate::pipeline::{DistanceModel, PipelineConfig};
 use crate::store::CowModel;
 
 /// Axis-aligned extent (a minimum bounding box) of a set of objects, in
@@ -173,10 +175,9 @@ impl ShardBalance {
 }
 
 /// A [`DistanceModel`] that a [`ShardedDb`] can partition by domain: a
-/// [`CowModel`] (copy-on-write successors, id membership, per-object
-/// extents) that additionally exposes its stored objects and can rebuild
-/// itself over any subset (each shard is one such build, with its own
-/// index).
+/// [`CowModel`] (id membership, per-object extents) that additionally
+/// exposes its stored objects and can build itself over any subset (each
+/// shard is one such build, with its own index).
 ///
 /// Implementations: [`crate::engine::UncertainDb`] (1-D intervals) and
 /// [`crate::engine2d::UncertainDb2d`] (2-D bounding boxes).
@@ -184,15 +185,13 @@ pub trait ShardableModel: DistanceModel + CowModel {
     /// Tuning configuration, shared by every shard.
     type Config: Clone;
 
-    /// The model's configuration (propagated to each shard on build).
-    fn shard_config(&self) -> Self::Config;
-    /// A copy of the stored objects (used for shard builds/re-shards).
+    /// A copy of the stored objects (what `shard-split` writes per shard).
     fn shard_objects(&self) -> Vec<Self::Object>;
     /// Build one shard — a complete model with its own index — over
     /// `objects`.
     fn build_shard(objects: Vec<Self::Object>, config: &Self::Config) -> Result<Self>;
     /// The exact extent of the stored objects (`None` when empty) — kept
-    /// current by the persistent index across updates, so shard routing
+    /// current by the persistent index across updates, so shard selection
     /// never works from stale bounds.
     fn model_extent(&self) -> Option<Extent>;
     /// The pipeline-level slice of the model's configuration.
@@ -202,30 +201,17 @@ pub trait ShardableModel: DistanceModel + CowModel {
 }
 
 /// A domain-partitioned database of uncertain objects: `N` shards, each a
-/// complete [`ShardableModel`] behind an [`Arc`]. See the [module
-/// docs](self) for the partitioning schemes, fan-out, and per-shard
-/// path-copying semantics.
+/// complete [`ShardableModel`], plus the slab layout that routes objects
+/// to them. See the [module docs](self) for the partitioning schemes.
 #[derive(Debug)]
 pub struct ShardedDb<M: ShardableModel> {
-    shards: Vec<Arc<M>>,
+    shards: Vec<M>,
     /// Partitioning axis: the widest axis of the build-time domain.
     axis: usize,
-    /// `shards.len() + 1` ascending slab boundaries along `axis`; inserts
+    /// `shards.len() + 1` ascending slab boundaries along `axis`; objects
     /// route by region center, clamped into the outer slabs.
     bounds: Vec<f64>,
     config: M::Config,
-}
-
-/// Cheap: clones the per-shard [`Arc`]s, not the shards.
-impl<M: ShardableModel> Clone for ShardedDb<M> {
-    fn clone(&self) -> Self {
-        Self {
-            shards: self.shards.clone(),
-            axis: self.axis,
-            bounds: self.bounds.clone(),
-            config: self.config.clone(),
-        }
-    }
 }
 
 impl<M: ShardableModel> ShardedDb<M> {
@@ -310,7 +296,7 @@ impl<M: ShardableModel> ShardedDb<M> {
         }
         let shards = buckets
             .into_iter()
-            .map(|b| M::build_shard(b, &config).map(Arc::new))
+            .map(|b| M::build_shard(b, &config))
             .collect::<Result<Vec<_>>>()?;
         Ok(Self {
             shards,
@@ -318,18 +304,6 @@ impl<M: ShardableModel> ShardedDb<M> {
             bounds,
             config,
         })
-    }
-
-    /// Re-shard an existing model's objects into `shards` equal-width
-    /// slabs, keeping its configuration. `shards = 1` wraps the same
-    /// contents in a single shard.
-    pub fn from_model(model: &M, shards: usize) -> Result<Self> {
-        Self::build(model.shard_objects(), model.shard_config(), shards)
-    }
-
-    /// Re-shard with an explicit balancing scheme.
-    pub fn from_model_with(model: &M, shards: usize, balance: ShardBalance) -> Result<Self> {
-        Self::build_with(model.shard_objects(), model.shard_config(), shards, balance)
     }
 
     /// Number of shards (always at least 1; empty shards are kept so slab
@@ -343,18 +317,7 @@ impl<M: ShardableModel> ShardedDb<M> {
         self.shards.iter().map(|s| s.total_objects()).collect()
     }
 
-    /// Total objects across all shards.
-    pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.total_objects()).sum()
-    }
-
-    /// Is the database empty?
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The shard models, in slab order (the shard-aware batch executor
-    /// filters against them directly).
+    /// The shard models, in slab order.
     pub fn shard_model(&self, shard: usize) -> &M {
         &self.shards[shard]
     }
@@ -379,133 +342,23 @@ impl<M: ShardableModel> ShardedDb<M> {
     pub fn shard_configuration(&self) -> &M::Config {
         &self.config
     }
-
-    /// Reassemble a sharded database from persisted parts: the partition
-    /// `axis`, the slab boundary list (`buckets.len() + 1` finite,
-    /// non-decreasing values), and each slab's objects in slab order.
-    ///
-    /// This is the recovery entry point ([`crate::persist`] /
-    /// [`crate::storage`]): the persisted boundaries are adopted **as
-    /// is**, rather than re-derived from the recovered objects, so slab
-    /// routing after recovery is bit-identical to the pre-crash database
-    /// even when serve-lane churn has drifted the contents away from the
-    /// build-time distribution.
-    pub fn from_parts(
-        axis: usize,
-        bounds: Vec<f64>,
-        buckets: Vec<Vec<M::Object>>,
-        config: M::Config,
-    ) -> Result<Self> {
-        if buckets.is_empty() || bounds.len() != buckets.len() + 1 {
-            return Err(CoreError::Storage(format!(
-                "malformed shard layout: {} boundaries for {} shards",
-                bounds.len(),
-                buckets.len()
-            )));
-        }
-        if axis > 8 {
-            return Err(CoreError::Storage(format!(
-                "malformed shard layout: implausible partition axis {axis}"
-            )));
-        }
-        if bounds.iter().any(|b| !b.is_finite()) || bounds.windows(2).any(|w| w[1] < w[0]) {
-            return Err(CoreError::Storage(
-                "malformed shard layout: slab boundaries not finite and non-decreasing".into(),
-            ));
-        }
-        let mut ids: Vec<u64> = buckets
-            .iter()
-            .flatten()
-            .map(|o| M::object_id(o).0)
-            .collect();
-        ids.sort_unstable();
-        if let Some(w) = ids.windows(2).find(|w| w[0] == w[1]) {
-            return Err(CoreError::DuplicateObjectId(w[0]));
-        }
-        let shards = buckets
-            .into_iter()
-            .map(|b| M::build_shard(b, &config).map(Arc::new))
-            .collect::<Result<Vec<_>>>()?;
-        Ok(Self {
-            shards,
-            axis,
-            bounds,
-            config,
-        })
-    }
-
-    /// Union of all shard extents (the database's domain MBR), `None`
-    /// when empty.
-    pub fn extent(&self) -> Option<Extent> {
-        self.shards
-            .iter()
-            .filter_map(|s| s.model_extent())
-            .reduce(|a, b| a.union(&b))
-    }
-
-    /// Which slab an object with partition-key `center` belongs to.
-    fn route(&self, object: &M::Object) -> usize {
-        slab_of(&self.bounds, M::object_extent(object).center(self.axis))
-    }
-
-    /// Insert an object in place, path-copying only the owning shard (the
-    /// other shard `Arc`s are untouched; clones of this handle keep the
-    /// old snapshot). Fails on a duplicate id anywhere in the database.
-    pub fn insert(&mut self, object: M::Object) -> Result<()> {
-        let id = M::object_id(&object);
-        if self.shards.iter().any(|s| s.contains_id(id)) {
-            return Err(CoreError::DuplicateObjectId(id.0));
-        }
-        let target = self.route(&object);
-        self.shards[target] = Arc::new(self.shards[target].with_inserted(object)?);
-        Ok(())
-    }
-
-    /// Remove an object by id in place, path-copying only the shard that
-    /// stored it. Returns the removed object, or `None` if the id was
-    /// absent.
-    pub fn remove(&mut self, id: ObjectId) -> Option<M::Object> {
-        let shard = self.shards.iter().position(|s| s.contains_id(id))?;
-        let (next, removed) = self.shards[shard].with_removed(id);
-        self.shards[shard] = Arc::new(next);
-        removed
-    }
-
-    /// The shards a query must visit, as `(mindist, shard)` pairs sorted
-    /// ascending by distance bound (ties by shard index).
-    ///
-    /// Selection is a static horizon argument: sort shards by
-    /// `maxdist(q, MBR)`; once the visited shards hold at least `k`
-    /// objects, that maxdist `H₀` upper-bounds the true candidate horizon
-    /// (those `k` objects all have far points within `H₀`), so any shard
-    /// with `mindist > H₀` cannot contribute a candidate. The sequential
-    /// path tightens further per shard inside
-    /// [`pipeline::fan_out_filter`]; the batch path uses this list as its
-    /// fixed work-unit set.
-    pub fn overlapping(&self, q: &M::Query, k: usize) -> Vec<(f64, usize)>
-    where
-        M::Query: ShardPoint,
-    {
-        let summaries: Vec<(Option<Extent>, usize)> = self
-            .shards
-            .iter()
-            .map(|s| (s.model_extent(), s.total_objects()))
-            .collect();
-        select_overlapping(&summaries, q, k)
-    }
 }
 
-/// Shard selection over `(extent, object count)` summaries — the shared
-/// core of [`ShardedDb::overlapping`] and the socket router's fan-out
-/// pruning (`cpnn-router`), which runs the **same algorithm** over
-/// summaries reported by remote shard processes so that routed and local
-/// queries visit identical shard sets in an identical order.
+/// Shard selection over `(extent, object count)` summaries — the socket
+/// router's fan-out pruning (`cpnn-router`), run over the summaries its
+/// shard processes report.
 ///
 /// `shards[i]` describes shard `i`: its exact extent (`None` when empty —
 /// empty shards are never selected) and its object count. Returns the
 /// `(mindist, shard index)` pairs a `k`-NN query at `q` must visit,
-/// sorted ascending by distance bound (ties by shard index). See
-/// [`ShardedDb::overlapping`] for the horizon argument.
+/// sorted ascending by distance bound (ties by shard index).
+///
+/// Selection is a static horizon argument: sort shards by
+/// `maxdist(q, MBR)`; once the visited shards hold at least `k` objects,
+/// that maxdist `H₀` upper-bounds the true candidate horizon (those `k`
+/// objects all have far points within `H₀`), so any shard with
+/// `mindist > H₀` cannot contribute a candidate. The merge tightens
+/// further per shard inside [`crate::pipeline::fan_out_filter`].
 pub fn select_overlapping<P: ShardPoint>(
     shards: &[(Option<Extent>, usize)],
     q: &P,
@@ -542,149 +395,11 @@ pub fn select_overlapping<P: ShardPoint>(
     selected
 }
 
-/// Copy-on-write successors touching only the owning shard: the
-/// [`CowModel`] seam over a sharded database — what
-/// [`crate::server::QueryServer::insert`]/[`remove`](crate::server::QueryServer::remove)
-/// and the write-coalescing lane swap in.
-impl<M: ShardableModel> CowModel for ShardedDb<M> {
-    type Object = M::Object;
-
-    fn object_id(object: &M::Object) -> ObjectId {
-        M::object_id(object)
-    }
-
-    fn object_extent(object: &M::Object) -> Extent {
-        M::object_extent(object)
-    }
-
-    fn contains_id(&self, id: ObjectId) -> bool {
-        self.shards.iter().any(|s| s.contains_id(id))
-    }
-
-    /// A new `ShardedDb` sharing every untouched shard `Arc`, with only
-    /// the owning shard path-copied.
-    fn with_inserted(&self, object: M::Object) -> Result<Self> {
-        let mut next = self.clone();
-        next.insert(object)?;
-        Ok(next)
-    }
-
-    /// As [`with_inserted`](Self::with_inserted); removing an absent id
-    /// returns an unchanged (but distinct) database, mirroring
-    /// [`crate::server::QueryServer::remove`]'s swap semantics.
-    fn with_removed(&self, id: ObjectId) -> (Self, Option<M::Object>) {
-        let mut next = self.clone();
-        let removed = next.remove(id);
-        (next, removed)
-    }
-}
-
-impl<M> DistanceModel for ShardedDb<M>
-where
-    M: ShardableModel,
-    M::Query: ShardPoint,
-{
-    type Query = M::Query;
-
-    fn total_objects(&self) -> usize {
-        self.len()
-    }
-
-    fn check_query(&self, q: &M::Query) -> Result<()> {
-        self.shards[0].check_query(q)
-    }
-
-    /// The fan-out step: select overlapping shards, filter each through
-    /// its own index, and merge the survivors
-    /// ([`pipeline::fan_out_filter`]). The merged set feeds the shared
-    /// verify/refine flow exactly once.
-    fn filter(&self, q: &M::Query, k: usize) -> Result<Filtered> {
-        let start = Instant::now();
-        let selected = self.overlapping(q, k);
-        let select_time = start.elapsed();
-        let mut filtered =
-            pipeline::fan_out_filter(selected.iter().map(|&(d, i)| (d, &*self.shards[i])), q, k)?;
-        filtered.filter_time += select_time;
-        Ok(filtered)
-    }
-
-    /// Sharding is invisible to the verification cache: snap and key
-    /// exactly as the shard model does (equal keys ⇒ equal merged filter
-    /// output, by the fan-out equivalence).
-    fn quantize_query(&self, q: &M::Query, quantum: f64) -> M::Query {
-        self.shards[0].quantize_query(q, quantum)
-    }
-
-    fn cache_key(&self, q: &M::Query) -> Option<u128> {
-        self.shards[0].cache_key(q)
-    }
-
-    fn query_coords(&self, q: &M::Query) -> Option<Vec<f64>> {
-        self.shards[0].query_coords(q)
-    }
-}
-
-/// Convenience query surface mirroring [`crate::engine::UncertainDb`]
-/// for 1-D-queried shard models.
-impl<M> ShardedDb<M>
-where
-    M: ShardableModel<Query = f64>,
-{
-    /// Execute a C-PNN query through the unified pipeline (fan-out filter,
-    /// shared verify → refine).
-    pub fn cpnn(&self, query: &CpnnQuery, strategy: Strategy) -> Result<CpnnResult> {
-        pipeline::cpnn(
-            self,
-            &query.q,
-            &QuerySpec::nn(query.threshold, query.tolerance, strategy),
-            &self.pipeline_config(),
-        )
-    }
-
-    /// Exact qualification probabilities for every candidate, descending.
-    pub fn pnn(&self, q: f64) -> Result<PnnResult> {
-        pipeline::pnn(self, &q, 1)
-    }
-
-    /// Constrained probabilistic k-NN over the merged candidate set.
-    pub fn cknn(&self, q: f64, k: usize, threshold: f64, tolerance: f64) -> Result<CpnnResult> {
-        pipeline::cpnn(
-            self,
-            &q,
-            &QuerySpec::knn(k, threshold, tolerance, Strategy::Verified),
-            &self.pipeline_config(),
-        )
-    }
-
-    /// Evaluate a batch of C-PNN queries through the shard-aware batch
-    /// executor ([`crate::batch::BatchExecutor::run_sharded`]: work units
-    /// are `(query, shard)` pairs, results in input order). `threads = 0`
-    /// means one worker per available core, as everywhere else.
-    pub fn cpnn_batch(
-        &self,
-        queries: &[CpnnQuery],
-        strategy: Strategy,
-        threads: usize,
-    ) -> Vec<Result<CpnnResult>>
-    where
-        M: Send + Sync,
-        M::Config: Send + Sync,
-    {
-        let jobs: Vec<(f64, QuerySpec)> = queries
-            .iter()
-            .map(|q| (q.q, QuerySpec::nn(q.threshold, q.tolerance, strategy)))
-            .collect();
-        crate::batch::BatchExecutor::new(threads)
-            .run_sharded(self, &jobs, &self.pipeline_config())
-            .results
-    }
-}
-
 /// Index of the slab whose `[bounds[i], bounds[i+1])` interval holds
-/// `center`, clamped into `[0, n)` — the routing key shared by
-/// [`ShardedDb`] inserts and the socket router (`cpnn-router`), which
-/// must route an insert to the same shard process the in-process
-/// database would have path-copied.
+/// `center`, clamped into `[0, n)` — the routing key [`ShardedDb::build`]
+/// partitions by and the socket router (`cpnn-router`) routes inserts by,
+/// so an inserted object lands on the shard process that a fresh
+/// `shard-split` would have put it in.
 pub fn slab_of(bounds: &[f64], center: f64) -> usize {
     let n = bounds.len() - 1;
     let i = bounds.partition_point(|b| *b <= center);
@@ -694,9 +409,13 @@ pub fn slab_of(bounds: &[f64], center: f64) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::UncertainDb;
+    use crate::candidate::CandidateSet;
+    use crate::engine::{CpnnResult, UncertainDb};
     use crate::engine2d::{Object2d, UncertainDb2d};
-    use crate::object::UncertainObject;
+    use crate::object::{ObjectId, UncertainObject};
+    use crate::pipeline::{
+        self, evaluate_candidates, fan_out_filter, QueryScratch, QuerySpec, QueryStats, Strategy,
+    };
 
     fn objects(n: u64) -> Vec<UncertainObject> {
         (0..n)
@@ -707,6 +426,38 @@ mod tests {
             .collect()
     }
 
+    fn summaries<M: ShardableModel>(db: &ShardedDb<M>) -> Vec<(Option<Extent>, usize)> {
+        (0..db.num_shards())
+            .map(|i| {
+                let shard = db.shard_model(i);
+                (shard.model_extent(), shard.total_objects())
+            })
+            .collect()
+    }
+
+    /// What the router does, minus the wire: select the overlapping
+    /// shards, merge their filter output through `fan_out_filter`, and
+    /// evaluate the merged candidates once.
+    fn fan_out_cpnn<M>(db: &ShardedDb<M>, q: &M::Query, spec: &QuerySpec) -> CpnnResult
+    where
+        M: ShardableModel,
+        M::Query: ShardPoint,
+    {
+        let k = spec.k.max(1);
+        let selected = select_overlapping(&summaries(db), q, k);
+        let merged =
+            fan_out_filter(selected.iter().map(|&(d, i)| (d, db.shard_model(i))), q, k).unwrap();
+        let cands = CandidateSet::from_distances(merged.items, k);
+        evaluate_candidates(
+            &cands,
+            spec,
+            &db.pipeline_config(),
+            &mut QueryScratch::new(),
+            QueryStats::default(),
+        )
+        .unwrap()
+    }
+
     /// Bit-for-bit equivalence: answers plus every report (id, label, and
     /// probability bounds — `ObjectReport` derives `PartialEq`).
     fn assert_equivalent(a: &CpnnResult, b: &CpnnResult, ctx: &str) {
@@ -714,12 +465,15 @@ mod tests {
         assert_eq!(a.reports, b.reports, "{ctx}");
     }
 
+    fn nn() -> QuerySpec {
+        QuerySpec::nn(0.3, 0.01, Strategy::Verified)
+    }
+
     #[test]
     fn partition_covers_every_object_exactly_once() {
         let objs = objects(50);
         let db = ShardedDb::<UncertainDb>::build(objs.clone(), Default::default(), 4).unwrap();
         assert_eq!(db.num_shards(), 4);
-        assert_eq!(db.len(), 50);
         assert_eq!(db.shard_sizes().iter().sum::<usize>(), 50);
         let mut seen: Vec<u64> = (0..db.num_shards())
             .flat_map(|s| {
@@ -742,9 +496,8 @@ mod tests {
             let sharded =
                 ShardedDb::<UncertainDb>::build(objs.clone(), Default::default(), shards).unwrap();
             for q in [-5.0, 0.0, 13.7, 50.2, 99.0, 140.0] {
-                let query = CpnnQuery::new(q, 0.3, 0.01);
-                let a = flat.cpnn(&query, Strategy::Verified).unwrap();
-                let b = sharded.cpnn(&query, Strategy::Verified).unwrap();
+                let a = pipeline::cpnn(&flat, &q, &nn(), &flat.config().pipeline()).unwrap();
+                let b = fan_out_cpnn(&sharded, &q, &nn());
                 assert_equivalent(&a, &b, &format!("q = {q}, {shards} shards"));
             }
         }
@@ -763,9 +516,8 @@ mod tests {
             )
             .unwrap();
             for q in [-5.0, 13.7, 50.2, 140.0] {
-                let query = CpnnQuery::new(q, 0.3, 0.01);
-                let a = flat.cpnn(&query, Strategy::Verified).unwrap();
-                let b = sharded.cpnn(&query, Strategy::Verified).unwrap();
+                let a = pipeline::cpnn(&flat, &q, &nn(), &flat.config().pipeline()).unwrap();
+                let b = fan_out_cpnn(&sharded, &q, &nn());
                 assert_equivalent(&a, &b, &format!("q = {q}, {shards} quantile shards"));
             }
         }
@@ -805,7 +557,7 @@ mod tests {
             "quantile slabs should be balanced, max {qmax} (sizes {:?})",
             quant.shard_sizes()
         );
-        assert_eq!(quant.len(), 120);
+        assert_eq!(quant.shard_sizes().iter().sum::<usize>(), 120);
     }
 
     #[test]
@@ -817,8 +569,9 @@ mod tests {
                 ShardedDb::<UncertainDb>::build(objs.clone(), Default::default(), shards).unwrap();
             for q in [0.0, 31.4, 77.7] {
                 for k in [2, 3] {
+                    let spec = QuerySpec::knn(k, 0.4, 0.0, Strategy::Verified);
                     let a = flat.cknn(q, k, 0.4, 0.0).unwrap();
-                    let b = sharded.cknn(q, k, 0.4, 0.0).unwrap();
+                    let b = fan_out_cpnn(&sharded, &q, &spec);
                     assert_equivalent(&a, &b, &format!("q = {q}, k = {k}, {shards} shards"));
                 }
             }
@@ -844,20 +597,8 @@ mod tests {
                 ShardedDb::<UncertainDb2d>::build(objs.clone(), Default::default(), shards)
                     .unwrap();
             for q in [[0.0, 0.0], [40.0, 30.0], [79.0, 59.0]] {
-                let a = pipeline::cpnn(
-                    &flat,
-                    &q,
-                    &QuerySpec::nn(0.3, 0.01, Strategy::Verified),
-                    &PipelineConfig::default(),
-                )
-                .unwrap();
-                let b = pipeline::cpnn(
-                    &sharded,
-                    &q,
-                    &QuerySpec::nn(0.3, 0.01, Strategy::Verified),
-                    &PipelineConfig::default(),
-                )
-                .unwrap();
+                let a = pipeline::cpnn(&flat, &q, &nn(), &PipelineConfig::default()).unwrap();
+                let b = fan_out_cpnn(&sharded, &q, &nn());
                 assert_equivalent(&a, &b, &format!("q = {q:?}, {shards} shards"));
             }
         }
@@ -874,85 +615,24 @@ mod tests {
     }
 
     #[test]
-    fn insert_path_copies_only_the_owning_shard() {
-        let mut db = ShardedDb::<UncertainDb>::build(objects(40), Default::default(), 4).unwrap();
-        let before: Vec<*const UncertainDb> =
-            (0..4).map(|s| db.shard_model(s) as *const _).collect();
-        db.insert(UncertainObject::uniform(ObjectId(1000), 1.0, 2.0).unwrap())
-            .unwrap();
-        let after: Vec<*const UncertainDb> =
-            (0..4).map(|s| db.shard_model(s) as *const _).collect();
-        let changed = before.iter().zip(&after).filter(|(a, b)| a != b).count();
-        assert_eq!(changed, 1, "exactly one shard replaced");
-        assert_eq!(db.len(), 41);
-        // The inserted object is findable.
-        let res = db.pnn(1.5).unwrap();
-        assert_eq!(res.probabilities[0].0, ObjectId(1000));
-    }
-
-    #[test]
-    fn cow_insert_shares_untouched_shards() {
-        let db = ShardedDb::<UncertainDb>::build(objects(40), Default::default(), 4).unwrap();
-        let next = db
-            .with_inserted(UncertainObject::uniform(ObjectId(1000), 1.0, 2.0).unwrap())
-            .unwrap();
-        let shared = (0..4)
-            .filter(|&s| std::ptr::eq(db.shard_model(s), next.shard_model(s)))
-            .count();
-        assert_eq!(shared, 3, "three of four shard Arcs shared");
-        assert_eq!(db.len(), 40, "original untouched");
-        assert_eq!(next.len(), 41);
-    }
-
-    #[test]
-    fn insert_duplicate_id_rejected() {
-        let mut db = ShardedDb::<UncertainDb>::build(objects(10), Default::default(), 3).unwrap();
-        assert!(matches!(
-            db.insert(UncertainObject::uniform(ObjectId(4), 0.0, 1.0).unwrap()),
-            Err(CoreError::DuplicateObjectId(4))
-        ));
-    }
-
-    #[test]
-    fn remove_roundtrip_restores_results() {
-        let objs = objects(30);
-        let mut db = ShardedDb::<UncertainDb>::build(objs.clone(), Default::default(), 3).unwrap();
-        db.insert(UncertainObject::uniform(ObjectId(500), 10.0, 10.5).unwrap())
-            .unwrap();
-        assert!(db.remove(ObjectId(500)).is_some());
-        assert!(db.remove(ObjectId(500)).is_none());
-        let fresh = ShardedDb::<UncertainDb>::build(objs, Default::default(), 3).unwrap();
-        for q in [0.0, 10.2, 55.0] {
-            let a = db.pnn(q).unwrap();
-            let b = fresh.pnn(q).unwrap();
-            assert_eq!(a.probabilities.len(), b.probabilities.len());
-            for ((ida, pa), (idb, pb)) in a.probabilities.iter().zip(&b.probabilities) {
-                assert_eq!(ida, idb);
-                assert!((pa - pb).abs() < 1e-12);
-            }
-        }
-    }
-
-    #[test]
     fn outlier_inserts_route_to_edge_shards() {
-        let mut db = ShardedDb::<UncertainDb>::build(objects(20), Default::default(), 4).unwrap();
+        let db = ShardedDb::<UncertainDb>::build(objects(20), Default::default(), 4).unwrap();
         // Far outside the build-time domain on both sides.
-        db.insert(UncertainObject::uniform(ObjectId(600), -500.0, -499.0).unwrap())
-            .unwrap();
-        db.insert(UncertainObject::uniform(ObjectId(601), 900.0, 901.0).unwrap())
-            .unwrap();
-        assert_eq!(db.len(), 22);
-        assert_eq!(db.pnn(-499.5).unwrap().probabilities[0].0, ObjectId(600));
-        assert_eq!(db.pnn(900.5).unwrap().probabilities[0].0, ObjectId(601));
+        assert_eq!(slab_of(db.slab_bounds(), -499.5), 0);
+        assert_eq!(slab_of(db.slab_bounds(), 900.5), 3);
+        // Inside the domain, a center routes to the slab that holds it.
+        let bounds = db.slab_bounds();
+        let mid = 0.5 * (bounds[2] + bounds[3]);
+        assert_eq!(slab_of(bounds, mid), 2);
     }
 
     #[test]
     fn empty_database_still_answers() {
         let db = ShardedDb::<UncertainDb>::build(Vec::new(), Default::default(), 4).unwrap();
-        assert!(db.is_empty());
-        let res = db
-            .cpnn(&CpnnQuery::new(0.0, 0.3, 0.0), Strategy::Verified)
-            .unwrap();
+        assert_eq!(db.num_shards(), 4);
+        assert_eq!(db.shard_sizes(), vec![0; 4]);
+        assert!(select_overlapping(&summaries(&db), &0.0, 1).is_empty());
+        let res = fan_out_cpnn(&db, &0.0, &QuerySpec::nn(0.3, 0.0, Strategy::Verified));
         assert!(res.answers.is_empty());
     }
 
@@ -960,10 +640,11 @@ mod tests {
     fn more_shards_than_objects_is_fine() {
         let db = ShardedDb::<UncertainDb>::build(objects(3), Default::default(), 16).unwrap();
         assert_eq!(db.num_shards(), 16);
+        assert_eq!(db.slab_bounds().len(), 17);
+        assert_eq!(db.shard_sizes().iter().sum::<usize>(), 3);
         let flat = UncertainDb::build(objects(3)).unwrap();
-        let a = flat.pnn(5.0).unwrap();
-        let b = db.pnn(5.0).unwrap();
-        assert_eq!(a.probabilities.len(), b.probabilities.len());
+        let a = pipeline::cpnn(&flat, &5.0, &nn(), &flat.config().pipeline()).unwrap();
+        assert_equivalent(&a, &fan_out_cpnn(&db, &5.0, &nn()), "16 shards, 3 objects");
     }
 
     #[test]
@@ -977,7 +658,7 @@ mod tests {
             })
             .collect();
         let db = ShardedDb::<UncertainDb>::build(objs, Default::default(), 10).unwrap();
-        let visited = db.overlapping(&5.0, 1);
+        let visited = select_overlapping(&summaries(&db), &5.0, 1);
         assert!(
             visited.len() < 10,
             "expected pruning, visited {} shards",

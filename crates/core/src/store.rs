@@ -21,8 +21,7 @@
 //!
 //! [`CowModel`] is the corresponding model-level seam: any database that
 //! can produce copy-on-write successors of itself (the 1-D and 2-D
-//! engines via their stores, [`crate::shard::ShardedDb`] via per-shard
-//! path copies) implements it, and [`crate::server::QueryServer`] builds
+//! engines via their stores) implements it, and [`crate::server::QueryServer`] builds
 //! its update surface — including the write-coalescing lane — on top.
 
 use cpnn_rtree::{Candidate, FilterStats, Params, RTree, Rect, SpatialIndex};
@@ -213,9 +212,8 @@ where
 /// A database that can produce **copy-on-write successors** of itself:
 /// the model-level seam the serving layer's snapshot swaps (and the
 /// write-coalescing lane) are built on. Implementations:
-/// [`crate::engine::UncertainDb`], [`crate::engine2d::UncertainDb2d`]
-/// (O(log n) store path copies), and [`crate::shard::ShardedDb`] (path
-/// copy of the owning shard only).
+/// [`crate::engine::UncertainDb`] and [`crate::engine2d::UncertainDb2d`]
+/// (O(log n) store path copies).
 pub trait CowModel: Sized {
     /// The stored-object type.
     type Object: Clone;

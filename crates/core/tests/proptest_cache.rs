@@ -15,9 +15,8 @@
 //!    sequential evaluation against the snapshot version the response
 //!    cites (version invalidation keeps COW updates from serving stale
 //!    bounds);
-//! 4. **sharded parity** — the shard-aware batch executor with caching on
-//!    (whole-query work units) matches flat sequential uncached
-//!    evaluation.
+//! 4. **batch parity** — the batch executor with caching on matches flat
+//!    sequential uncached evaluation.
 
 use std::sync::Arc;
 
@@ -298,27 +297,25 @@ proptest! {
         prop_assert_eq!(stats.served, 2 * points.len() as u64);
     }
 
-    /// Property 4: sharded batch with caching on (whole-query work units)
-    /// ≡ flat sequential uncached evaluation.
+    /// Property 4: the batch executor with caching on (per-worker caches
+    /// over a repeating stream) ≡ flat sequential uncached evaluation.
     #[test]
-    fn sharded_batch_with_cache_matches_flat(
+    fn batch_with_cache_matches_flat(
         objs in objects_1d(16),
         base in prop::collection::vec(-60.0f64..60.0, 2..8),
-        shards in prop::sample::select(vec![1usize, 3, 8]),
     ) {
-        let flat = UncertainDb::build(objs.clone()).unwrap();
-        let sharded = UncertainDb::build_sharded(objs, shards).unwrap();
+        let flat = UncertainDb::build(objs).unwrap();
         let stream = with_repeats(base, 2);
         let spec = QuerySpec::nn(0.3, 0.01, EvalStrategy::Verified);
         let jobs: Vec<(f64, QuerySpec)> = stream.iter().map(|&q| (q, spec)).collect();
-        let mut cfg = sharded.pipeline_config();
+        let mut cfg = flat.config().pipeline();
         cfg.cache = CacheConfig::new(64, 0.0);
-        let out = BatchExecutor::new(2).run_sharded(&sharded, &jobs, &cfg);
+        let out = BatchExecutor::new(2).run(&flat, &jobs, &cfg);
         prop_assert_eq!(out.results.len(), jobs.len());
         let uncached_cfg = PipelineConfig::default();
         for (i, ((q, spec), got)) in jobs.iter().zip(&out.results).enumerate() {
             let want = cpnn(&flat, q, spec, &uncached_cfg).unwrap();
-            assert_same(got.as_ref().unwrap(), &want, &format!("query {i}, {shards} shards"))?;
+            assert_same(got.as_ref().unwrap(), &want, &format!("query {i}"))?;
         }
         prop_assert!(
             out.summary.cache_hits + out.summary.cache_misses == jobs.len() as u64,

@@ -10,7 +10,7 @@
 //! `verifiers::reference` (the retained legacy verifiers) plus the naive
 //! scalar integrands (`exact::subregion_qualification`,
 //! `knn::knn_subregion_qualification`) — including through
-//! eviction-forcing cache configurations and sharded execution.
+//! eviction-forcing cache configurations and the batch executor.
 
 use cpnn_core::cache::CacheConfig;
 use cpnn_core::classify::{Classifier, Label};
@@ -304,27 +304,25 @@ proptest! {
         prop_assert!(scratch.cache_stats().hits > 0, "stream produced no hits");
     }
 
-    /// Sharded parity: the shard-aware batch executor at 1 and 8 shards
-    /// answers bit-identically to the naive reference on the flat model.
+    /// Batch parity: the multi-threaded batch executor answers
+    /// bit-identically to the naive reference.
     #[test]
-    fn sharded_kernel_pipeline_matches_reference(
+    fn batch_kernel_pipeline_matches_reference(
         objs in objects_1d(16),
         base in prop::collection::vec(-60.0f64..60.0, 2..6),
-        shards in prop::sample::select(vec![1usize, 8]),
     ) {
-        let flat = UncertainDb::build(objs.clone()).unwrap();
-        let sharded = UncertainDb::build_sharded(objs, shards).unwrap();
+        let flat = UncertainDb::build(objs).unwrap();
         let spec = QuerySpec::nn(0.3, 0.01, EvalStrategy::Verified);
         let jobs: Vec<(f64, QuerySpec)> = base.iter().map(|&q| (q, spec)).collect();
-        let cfg = sharded.pipeline_config();
-        let out = BatchExecutor::new(2).run_sharded(&sharded, &jobs, &cfg);
+        let cfg = flat.config().pipeline();
+        let out = BatchExecutor::new(2).run(&flat, &jobs, &cfg);
         prop_assert_eq!(out.results.len(), jobs.len());
         for (i, ((q, spec), got)) in jobs.iter().zip(&out.results).enumerate() {
             let want = reference_eval(&flat, q, spec, cfg.extended_verifiers);
             assert_bit_identical(
                 got.as_ref().unwrap(),
                 &want,
-                &format!("sharded q = {q}, query {i}, {shards} shards"),
+                &format!("batch q = {q}, query {i}"),
             )?;
         }
     }

@@ -1,8 +1,9 @@
 //! Snapshot round-trip properties of the generalized (dimension-tagged)
-//! persistence format: for 1-D, 2-D, and sharded databases —
-//! including empty databases and single-bar histograms —
-//! `read_model(write_model(db))` answers **every** query identically to
-//! the live database, report for report.
+//! persistence format: for 1-D and 2-D databases — including empty
+//! databases and single-bar histograms — `read_model(write_model(db))`
+//! answers **every** query identically to the live database, report for
+//! report. Sharded (kind-1) checkpoints, which only older builds wrote,
+//! read back as the flat database over the same objects.
 //!
 //! Bit-exactness caveat baked into the generators: the 1-D snapshot
 //! stores per-bar *masses* (cdf differences) and rebuilding divides by
@@ -15,13 +16,16 @@
 
 use cpnn_core::persist::{self, SnapshotError};
 use cpnn_core::{
-    CpnnQuery, CpnnResult, EngineConfig, Object2d, ObjectId, ShardBalance, ShardedDb, Strategy,
-    UncertainDb, UncertainDb2d, UncertainObject,
+    CpnnQuery, CpnnResult, EngineConfig, Object2d, ObjectId, ShardBalance, Strategy, UncertainDb,
+    UncertainDb2d, UncertainObject,
 };
 use cpnn_pdf::HistogramPdf;
 use proptest::prelude::*;
 use proptest::Strategy as _;
 use proptest::TestCaseError;
+
+mod legacy_sharded;
+use legacy_sharded::sharded_image;
 
 /// Raw material for one dyadic histogram object: an integer low edge,
 /// per-bar power-of-two widths, and mass cut points on the /64 grid.
@@ -142,9 +146,10 @@ proptest! {
         }
     }
 
-    /// Sharded: the snapshot persists the partitioning itself (axis +
-    /// exact slab bounds), so the recovered database keeps the same
-    /// layout and answers identically — under both balancing schemes.
+    /// Sharded: a kind-1 checkpoint (axis, exact slab bounds, one object
+    /// list per slab — the layout older `serve --data-dir` runs wrote)
+    /// reads back through the flat reader as the flat database over the
+    /// same objects, under both balancing schemes.
     #[test]
     fn snapshot_round_trip_sharded(
         objects in dyadic_objects(16),
@@ -153,29 +158,16 @@ proptest! {
         quantile in prop::bool::ANY,
     ) {
         let balance = if quantile { ShardBalance::Quantile } else { ShardBalance::Width };
-        if objects.is_empty() {
-            return Ok(()); // sharded build requires at least one object
-        }
-        let db = ShardedDb::<UncertainDb>::build_with(
-            objects,
-            EngineConfig::default(),
-            shards,
-            balance,
-        )
-        .unwrap();
-        let mut image = Vec::new();
-        persist::write_model(&db, 3, &mut image).unwrap();
-        let (back, _) = persist::read_model::<ShardedDb<UncertainDb>, _>(
-            image.as_slice(),
-            &EngineConfig::default(),
-        )
-        .unwrap();
-        prop_assert_eq!(back.num_shards(), db.num_shards());
-        prop_assert_eq!(back.partition_axis(), db.partition_axis());
-        prop_assert_eq!(back.slab_bounds(), db.slab_bounds());
+        let flat = UncertainDb::build(objects.clone()).unwrap();
+        let image = sharded_image(objects, shards, balance, 3);
+        let (back, version) =
+            persist::read_model::<UncertainDb, _>(image.as_slice(), &EngineConfig::default())
+                .unwrap();
+        prop_assert_eq!(version, 3);
+        prop_assert_eq!(back.len(), flat.len());
         for &q in &points {
             let query = CpnnQuery::new(q, 0.25, 0.01);
-            let a = db.cpnn(&query, Strategy::Verified).unwrap();
+            let a = flat.cpnn(&query, Strategy::Verified).unwrap();
             let b = back.cpnn(&query, Strategy::Verified).unwrap();
             assert_same(&a, &b, &format!("sharded q = {q}, {shards} shards"))?;
         }

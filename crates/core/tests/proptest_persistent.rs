@@ -4,7 +4,7 @@
 //! 1. **persistent ≡ bulk-rebuilt** — an interleaved insert/remove
 //!    sequence applied through path-copying updates yields query results
 //!    bit-identical to a fresh bulk-load of the same final object set,
-//!    for 1-D, 2-D, k-NN, and sharded databases;
+//!    for 1-D, 2-D, and k-NN databases;
 //! 2. **old-snapshot safety** — handles pinned before later updates keep
 //!    answering exactly as a fresh build of their historical contents
 //!    (structural sharing never lets a newer version bleed into an older
@@ -16,8 +16,8 @@
 
 use cpnn_core::pipeline::{cpnn, PipelineConfig};
 use cpnn_core::{
-    CowModel, CpnnQuery, CpnnResult, Object2d, ObjectId, QuerySpec, ShardBalance, ShardedDb,
-    Strategy, UncertainDb, UncertainDb2d, UncertainObject,
+    CowModel, CpnnQuery, CpnnResult, Object2d, ObjectId, QuerySpec, Strategy, UncertainDb,
+    UncertainDb2d, UncertainObject,
 };
 use proptest::prelude::*;
 use proptest::Strategy as _;
@@ -167,37 +167,6 @@ proptest! {
             let a = db.cknn([x, y], 2, 0.4, 0.0).unwrap();
             let b = fresh.cknn([x, y], 2, 0.4, 0.0).unwrap();
             assert_same(&a, &b, &format!("2d knn q = ({x}, {y})"))?;
-        }
-    }
-
-    /// Property 1 (sharded, both balancing schemes): per-shard path
-    /// copies ≡ fresh sharded and fresh flat builds.
-    #[test]
-    fn persistent_equals_bulk_rebuilt_sharded(
-        seq in ops(20),
-        points in prop::collection::vec(-90.0f64..90.0, 2..5),
-        shards in prop::sample::select(vec![1usize, 3, 8]),
-        quantile in prop::bool::ANY,
-    ) {
-        let balance = if quantile { ShardBalance::Quantile } else { ShardBalance::Width };
-        let initial = objects_1d(24);
-        let mut live = initial.clone();
-        let resolved = resolve_ops(&seq, &mut live, 1_000);
-        let mut db =
-            ShardedDb::<UncertainDb>::build_with(initial, Default::default(), shards, balance)
-                .unwrap();
-        for (is_insert, o) in &resolved {
-            if *is_insert {
-                db.insert(o.clone()).unwrap();
-            } else {
-                prop_assert_eq!(db.remove(o.id()).map(|r| r.id()), Some(o.id()));
-            }
-        }
-        let flat = UncertainDb::build(live).unwrap();
-        for &q in &points {
-            let a = db.cpnn(&CpnnQuery::new(q, 0.3, 0.01), Strategy::Verified).unwrap();
-            let b = flat.cpnn(&CpnnQuery::new(q, 0.3, 0.01), Strategy::Verified).unwrap();
-            assert_same(&a, &b, &format!("sharded q = {q}, {shards} shards, {balance:?}"))?;
         }
     }
 

@@ -2,7 +2,8 @@
 //! journals every publish through a [`StorageBackend`] can be recovered
 //! — checkpoint + write-ahead-journal replay — into a database that is
 //! **bit-for-bit** the live one (verdicts *and* bounds through the full
-//! verify/refine pipeline), for 1-D, 2-D, k-NN, and sharded models,
+//! verify/refine pipeline), for 1-D, 2-D, and k-NN models (including
+//! 1-D checkpoints in the sharded layout older builds wrote),
 //! under arbitrary interleavings of direct writes, coalesced bursts,
 //! queries, and mid-stream checkpoints.
 //!
@@ -24,12 +25,14 @@ use cpnn_core::server::QueryServer;
 use cpnn_core::storage::replay_wal;
 use cpnn_core::{
     CpnnQuery, CpnnResult, CrashWriter, EngineConfig, MemoryBackend, Object2d, ObjectId,
-    PersistentModel, ShardBalance, ShardedDb, Strategy, UncertainDb, UncertainDb2d,
-    UncertainObject,
+    PersistentModel, ShardBalance, Strategy, UncertainDb, UncertainDb2d, UncertainObject,
 };
 use proptest::prelude::*;
 use proptest::Strategy as _;
 use proptest::TestCaseError;
+
+mod legacy_sharded;
+use legacy_sharded::sharded_image;
 
 /// One step of a random durable workload.
 #[derive(Debug, Clone)]
@@ -217,8 +220,11 @@ proptest! {
         prop_assert_eq!(last_version, live.version, "full journal must reach the live state");
     }
 
-    /// Sharded 1-D: recovery preserves the partitioning (axis + exact
-    /// slab bounds) and every query agrees bit for bit.
+    /// Legacy sharded checkpoints: a data directory whose checkpoint is
+    /// in the kind-1 (sharded) layout older builds wrote, with a journal
+    /// tail on top, recovers as the flat database the live server holds —
+    /// bit for bit, and at every 7th journal byte-prefix a published
+    /// version exactly.
     #[test]
     fn recovery_matches_live_state_sharded(
         ops in workload(18),
@@ -229,13 +235,7 @@ proptest! {
         let balance = if quantile { ShardBalance::Quantile } else { ShardBalance::Width };
         let initial: Vec<UncertainObject> =
             (0..10).map(|i| uniform(i, (i as i32) * 9 - 45, 4.0)).collect();
-        let db = ShardedDb::<UncertainDb>::build_with(
-            initial,
-            EngineConfig::default(),
-            shards,
-            balance,
-        )
-        .unwrap();
+        let db = UncertainDb::build(initial).unwrap();
         let backend = MemoryBackend::new();
         let server = QueryServer::start(db, 1, Default::default());
         server.attach_storage(Box::new(backend.clone()));
@@ -244,14 +244,21 @@ proptest! {
         let history = drive(&server, &ops, uniform);
         let live = server.snapshot();
 
-        let rec = backend
-            .recover::<ShardedDb<UncertainDb>>(&EngineConfig::default())
-            .unwrap()
-            .unwrap();
+        // The same checkpoint, rewritten in the sharded layout.
+        let checkpoint = backend.checkpoint_bytes().expect("checkpoint written");
+        let (flat, version) =
+            persist::read_model::<UncertainDb, _>(checkpoint.as_slice(), &EngineConfig::default())
+                .unwrap();
+        let legacy = sharded_image(flat.objects(), shards, balance, version);
+        let (base, base_version) =
+            persist::read_model::<UncertainDb, _>(legacy.as_slice(), &EngineConfig::default())
+                .unwrap();
+        prop_assert_eq!(base_version, version);
+
+        let wal = backend.wal_bytes();
+        let rec = replay_wal(&wal, base.clone(), base_version).unwrap();
         prop_assert_eq!(rec.version, live.version);
-        prop_assert_eq!(rec.model.num_shards(), live.model.num_shards());
-        prop_assert_eq!(rec.model.partition_axis(), live.model.partition_axis());
-        prop_assert_eq!(rec.model.slab_bounds(), live.model.slab_bounds());
+        prop_assert_eq!(rec.model.len(), live.model.len());
         for &q in &points {
             let query = CpnnQuery::new(q, 0.25, 0.01);
             let a = live.model.cpnn(&query, Strategy::Verified).unwrap();
@@ -259,15 +266,8 @@ proptest! {
             assert_same(&a, &b, &format!("sharded recovered q = {q}"))?;
         }
 
-        // Prefix sweep (coarser: every 7th byte keeps the sharded case
-        // fast; the 1-D test sweeps every byte).
-        let wal = backend.wal_bytes();
-        let checkpoint = backend.checkpoint_bytes().expect("checkpoint written");
-        let (base, base_version) = persist::read_model::<ShardedDb<UncertainDb>, _>(
-            checkpoint.as_slice(),
-            &EngineConfig::default(),
-        )
-        .unwrap();
+        // Prefix sweep (coarser: every 7th byte keeps the case fast; the
+        // 1-D test sweeps every byte).
         for budget in (0..=wal.len()).step_by(7) {
             let rec = replay_wal(&wal[..budget], base.clone(), base_version).unwrap();
             let expected = history.get(&rec.version).unwrap_or_else(|| {

@@ -8,11 +8,17 @@
 //! The corpus is regenerated by the `#[ignore]`d `regenerate_fixtures`
 //! test (`cargo test -p cpnn-core --test wal_fixtures -- --ignored`);
 //! the generator is deterministic, so a regeneration that changes any
-//! byte is itself a format-compatibility alarm.
+//! byte is itself a format-compatibility alarm. One fixture is frozen
+//! instead: `checkpoint_sharded.cpnn` (see
+//! [`legacy_sharded_checkpoint_recovers_as_a_flat_database`]) was written
+//! by a build that could still checkpoint sharded databases, and no
+//! current code path writes that layout, so the regenerator leaves it
+//! alone.
 
 use cpnn_core::persist::{self, SnapshotError};
-use cpnn_core::storage::{self, replay_wal, StorageError};
-use cpnn_core::{EngineConfig, ObjectId, UncertainDb, UncertainObject};
+use cpnn_core::pipeline::{cpnn, QuerySpec};
+use cpnn_core::storage::{self, replay_wal, FileBackend, StorageError};
+use cpnn_core::{EngineConfig, ObjectId, Strategy, UncertainDb, UncertainObject};
 
 fn base_objects() -> Vec<UncertainObject> {
     (0..4)
@@ -140,8 +146,73 @@ fn truncated_checkpoint_is_a_typed_snapshot_error() {
     );
 }
 
+/// The objects `checkpoint_sharded.cpnn` holds: ids 0..8 on
+/// `[3i, 3i + 5]` with id 1 removed, plus id 100 on `[5, 7]`.
+fn legacy_sharded_objects() -> Vec<UncertainObject> {
+    let mut objects: Vec<UncertainObject> = (0..8)
+        .filter(|&i| i != 1)
+        .map(|i| {
+            UncertainObject::uniform(ObjectId(i), i as f64 * 3.0, i as f64 * 3.0 + 5.0).unwrap()
+        })
+        .collect();
+    objects.push(UncertainObject::uniform(ObjectId(100), 5.0, 7.0).unwrap());
+    objects
+}
+
+/// `checkpoint_sharded.cpnn` is a frozen kind-1 (sharded) checkpoint: a
+/// 1-D database in 2 equal-width slabs at snapshot version 2, exactly as
+/// `cpnn serve --data-dir` wrote it while `serve` hosted an in-process
+/// sharded database. It was made by saving ids 0..8 on `[3i, 3i + 5]`
+/// (uniform pdfs) as a dataset, then running
+/// `printf 'insert 100 5 7\n10 0.3\nremove 1\n4 0.3\nquit\n' |
+/// cpnn serve DATASET --shards 2 --threads 1 --data-dir DIR` and copying
+/// `DIR/checkpoint.cpnn` (the clean-shutdown checkpoint). Such data
+/// directories must recover as flat databases.
+#[test]
+fn legacy_sharded_checkpoint_recovers_as_a_flat_database() {
+    let dir = std::env::temp_dir().join(format!("cpnn-legacy-sharded-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut backend = FileBackend::open(&dir).unwrap();
+    std::fs::write(
+        backend.checkpoint_path(),
+        fixture("checkpoint_sharded.cpnn"),
+    )
+    .unwrap();
+    let rec = backend
+        .recover::<UncertainDb>(&EngineConfig::default())
+        .unwrap()
+        .expect("the checkpoint is there");
+    std::fs::remove_dir_all(&dir).ok();
+    assert_eq!(rec.version, 2);
+    assert_eq!(rec.records, 0);
+    let mut ids: Vec<ObjectId> = rec.model.objects().iter().map(|o| o.id()).collect();
+    ids.sort();
+    let expected = legacy_sharded_objects();
+    let mut want_ids: Vec<ObjectId> = expected.iter().map(|o| o.id()).collect();
+    want_ids.sort();
+    assert_eq!(ids, want_ids);
+
+    let flat = UncertainDb::build(expected).unwrap();
+    let cfg = flat.config().pipeline();
+    for q in [0.0, 4.0, 10.0, 13.0, 20.0, 27.0, 40.0] {
+        for spec in [
+            QuerySpec::nn(0.3, 0.01, Strategy::Verified),
+            QuerySpec::nn(0.1, 0.0, Strategy::Verified),
+            QuerySpec::knn(2, 0.4, 0.0, Strategy::Verified),
+        ] {
+            let want = cpnn(&flat, &q, &spec, &cfg).unwrap();
+            let got = cpnn(&rec.model, &q, &spec, &cfg).unwrap();
+            assert_eq!(got.answers, want.answers, "q = {q}, {spec:?}");
+            // `ObjectReport` derives `PartialEq`: ids, labels and bounds
+            // compare bit for bit.
+            assert_eq!(got.reports, want.reports, "q = {q}, {spec:?}");
+        }
+    }
+}
+
 /// Every prefix of every journal fixture either recovers or fails with
-/// a typed error — the whole corpus is panic-free under truncation.
+/// a typed error, and every strict prefix of a checkpoint fixture fails
+/// typed — the whole corpus is panic-free under truncation.
 #[test]
 fn no_fixture_prefix_panics() {
     for name in [
@@ -155,6 +226,16 @@ fn no_fixture_prefix_panics() {
         let bytes = fixture(name);
         for cut in 0..=bytes.len() {
             let _ = recover(&bytes[..cut]);
+        }
+    }
+    for name in ["checkpoint_base.cpnn", "checkpoint_sharded.cpnn"] {
+        let bytes = fixture(name);
+        for cut in 0..bytes.len() {
+            assert!(
+                persist::read_model::<UncertainDb, _>(&bytes[..cut], &EngineConfig::default())
+                    .is_err(),
+                "{name} cut at {cut} must not decode"
+            );
         }
     }
 }

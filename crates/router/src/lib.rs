@@ -1,6 +1,6 @@
 //! Distributed shard serving: shard processes on sockets, plus the
 //! horizon-pruned query router that makes a fleet of them answer exactly
-//! like one in-process [`ShardedDb`](cpnn_core::ShardedDb).
+//! like one flat, single-process database.
 //!
 //! Every building block here is a thin lift of an existing in-process
 //! seam onto a wire:
@@ -15,14 +15,15 @@
 //!   frames in the `storage.rs` record idiom, with a torn/corrupt error
 //!   taxonomy instead of panics on any malformed input;
 //! * **router** ([`router`]) — owns the shard map (partition axis +
-//!   slab boundaries), prunes fan-out with the *same*
+//!   slab boundaries), prunes fan-out with the
 //!   [`select_overlapping`](cpnn_core::shard::select_overlapping)
-//!   horizon argument the in-process database uses, merges shard
+//!   horizon argument, merges shard
 //!   candidate replies through the *same*
 //!   [`fan_out_filter`](cpnn_core::pipeline::fan_out_filter) /
 //!   [`evaluate_candidates`](cpnn_core::pipeline::evaluate_candidates)
 //!   seam (verify/refine runs once, router-side), routes update bursts
-//!   to the owning shard by the *same* slab arithmetic, and degrades
+//!   to the owning shard by the slab arithmetic `shard-split`
+//!   partitioned by, and degrades
 //!   with a typed [`RouterError::ShardUnavailable`](router::RouterError)
 //!   instead of a wrong answer when a shard dies.
 //!

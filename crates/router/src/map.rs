@@ -3,11 +3,11 @@
 //!
 //! Persisted as a tiny `CPSM` file in the snapshot idiom (`cpnn
 //! shard-split` writes it next to the per-shard data directories; `cpnn
-//! route` loads it). The axis and boundaries are the *same* values a
-//! single-process [`ShardedDb`](cpnn_core::ShardedDb) would carry, which
-//! is what lets the router reuse
-//! [`slab_of`](cpnn_core::shard::slab_of) for update routing and claim
-//! equivalence with in-process placement.
+//! route` loads it). The axis and boundaries are the values the
+//! partitioner ([`ShardedDb`](cpnn_core::ShardedDb)) cut the dataset
+//! with, which is what lets the router reuse
+//! [`slab_of`](cpnn_core::shard::slab_of) for update routing and place an
+//! insert where a fresh `shard-split` would have put it.
 //!
 //! ```text
 //! magic "CPSM" | format version u32 (= 1) | axis u32
@@ -52,8 +52,8 @@ impl ShardMap {
     /// Structural validity: at least one shard, one more boundary than
     /// shards, boundaries finite and non-decreasing (quantile balancing
     /// can produce duplicate boundaries — empty slabs — exactly as
-    /// [`ShardedDb::from_parts`](cpnn_core::ShardedDb::from_parts)
-    /// accepts).
+    /// [`ShardedDb::build_with`](cpnn_core::ShardedDb::build_with)
+    /// emits them).
     pub fn validate(&self) -> SnapshotResult<()> {
         let ok = !self.addrs.is_empty()
             && self.bounds.len() == self.addrs.len() + 1

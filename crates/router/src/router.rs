@@ -1,15 +1,15 @@
 //! The query router: the front-end that makes a fleet of shard processes
-//! answer exactly like one in-process [`ShardedDb`](cpnn_core::ShardedDb).
+//! answer exactly like one flat, single-process database.
 //!
 //! ## Soundness of the router-side merge
 //!
 //! Equivalence rests on three reused seams, not on new algorithms:
 //!
 //! 1. **Selection** — the router keeps each shard's exact extent and
-//!    object count (refreshed from every reply's status) and runs the
-//!    *same* [`select_overlapping`] the in-process database runs, so
-//!    routed and local queries visit identical shard sets in identical
-//!    order. A selected shard that cannot answer is a typed
+//!    object count (refreshed from every reply's status) and runs
+//!    [`select_overlapping`]'s static horizon argument over them, so no
+//!    shard that could hold a candidate is skipped. A selected shard that
+//!    cannot answer is a typed
 //!    [`RouterError::ShardUnavailable`] — the router refuses to
 //!    under-approximate a candidate set, so degradation is never a wrong
 //!    answer.
@@ -25,11 +25,15 @@
 //!    [`evaluate_candidates`](pipeline::evaluate_candidates) the
 //!    single-process pipeline uses. Verify/refine never runs on a shard.
 //!
-//! Updates route by the *same* [`slab_of`] arithmetic over the *same*
-//! persisted boundaries, against a router-owned id map (seeded and
-//! resynced from shard [`Request::Ids`] replies) that reproduces the
-//! cross-shard duplicate check of [`ShardedDb::insert`](cpnn_core::ShardedDb::insert)
-//! and the remove-absent no-op of `with_removed`.
+//! Query points are validated before selection: a non-finite coordinate
+//! fails with [`RouterError::Query`]`(`[`CoreError::InvalidQueryPoint`]`)`
+//! exactly as the flat pipeline fails it, without any wire traffic.
+//!
+//! Updates route by the [`slab_of`] arithmetic `shard-split` partitioned
+//! by, over the persisted boundaries, against a router-owned id map
+//! (seeded and resynced from shard [`Request::Ids`] replies) that
+//! reproduces the flat database's duplicate-id check and the
+//! remove-absent no-op of `with_removed`.
 
 use std::collections::HashMap;
 use std::io::BufReader;
@@ -224,8 +228,8 @@ pub struct ShardReply {
     pub items: Vec<(ObjectId, cpnn_core::DistanceDistribution)>,
 }
 
-/// Merge shard filter replies into one [`Filtered`] — the routed twin of
-/// [`ShardedDb::filter`](cpnn_core::ShardedDb). Replies are first sorted
+/// Merge shard filter replies into one [`Filtered`] — the candidate set
+/// one flat filter pass would have produced. Replies are first sorted
 /// by `(near, shard index)` — the exact order [`select_overlapping`]
 /// yields — then fed through the real [`fan_out_filter`](cpnn_core::pipeline::fan_out_filter), so the result
 /// is independent of the order replies arrived in: shuffling the input
@@ -452,8 +456,14 @@ impl<M: RoutedModel> QueryRouter<M> {
     /// once. Bit-for-bit the single-process answer (see the module docs
     /// for the argument, `tests/proptest_router.rs` for the proof).
     pub fn query(&mut self, q: &M::Query, spec: &QuerySpec) -> Result<CpnnResult, RouterError> {
-        // Validate the spec before any wire traffic, mirroring the
-        // single-process pipeline's pre-filter validation.
+        // Validate the query point, then the spec, before any wire
+        // traffic, in the single-process pipeline's order. A non-finite
+        // coordinate would otherwise read as distance 0 or NaN to every
+        // extent and silently select no shard.
+        let coords = crate::query_coords::<M>(q);
+        if let Some(&c) = coords.iter().find(|c| !c.is_finite()) {
+            return Err(RouterError::Query(CoreError::InvalidQueryPoint(c)));
+        }
         cpnn_core::Classifier::new(spec.threshold, spec.tolerance).map_err(RouterError::Query)?;
         let k = spec.k.max(1);
         self.stats.queries += 1;
@@ -473,16 +483,17 @@ impl<M: RoutedModel> QueryRouter<M> {
         // reply is retried on a fresh connection — Filter is idempotent —
         // and a shard that stays silent fails the query typed: dropping
         // its candidates could under-approximate the answer.
-        let req_of = |q: &M::Query, k: usize| Request::<M>::Filter {
-            coords: crate::query_coords::<M>(q),
+        let req = Request::<M>::Filter {
+            coords,
             k: k as u64,
         };
+        let frame = req.encode();
         let mut pending: Vec<(usize, bool)> = Vec::with_capacity(selected.len());
         for &(_, shard) in &selected {
             self.ensure_connected(shard)?;
             let sent = {
                 let conn = self.shards[shard].conn.as_mut().expect("just connected");
-                write_frame(&mut conn.writer, &req_of(q, k).encode()).is_ok()
+                write_frame(&mut conn.writer, &frame).is_ok()
             };
             if !sent {
                 self.shards[shard].conn = None;
@@ -498,10 +509,10 @@ impl<M: RoutedModel> QueryRouter<M> {
                     Ok(resp) => resp,
                     // Pipelined reply lost: fall back to the sequential
                     // retry path (fresh connection, full budget).
-                    Err(_) => self.request_idempotent(shard, &req_of(q, k))?,
+                    Err(_) => self.request_idempotent(shard, &req)?,
                 }
             } else {
-                self.request_idempotent(shard, &req_of(q, k))?
+                self.request_idempotent(shard, &req)?
             };
             let items = match resp {
                 Response::Candidates { version, items } => {

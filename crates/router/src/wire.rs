@@ -24,8 +24,8 @@
 //! preserved) and the router reassembles them through
 //! [`HistogramPdf::from_raw_parts`] — validation without
 //! renormalization — so a routed candidate set compares equal to the one
-//! an in-process [`ShardedDb`](cpnn_core::ShardedDb) builds. That is the
-//! keystone of the routed ≡ single-process property.
+//! a single-process filter pass builds. That is the keystone of the
+//! routed ≡ single-process property.
 
 use std::fmt;
 use std::io::{self, Read, Write};

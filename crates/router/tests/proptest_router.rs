@@ -3,12 +3,13 @@
 //! 1. **1-D equivalence** — at shard-process counts 1, 2, and 4, a
 //!    routed C-PNN query (socket fan-out, wire-shipped histograms,
 //!    router-side merge + verify/refine) returns **bit-for-bit** the
-//!    verdicts and probability bounds of the in-process [`ShardedDb`];
+//!    verdicts and probability bounds of the flat single-process
+//!    database over the same objects;
 //! 2. **k-NN equivalence** — same, for C-PkNN (`k > 1`);
 //! 3. **2-D equivalence** — same, over the disk/rectangle engine;
 //! 4. **update equivalence** — under interleaved coalesced update
 //!    bursts (inserts, removes, duplicate inserts, removes of absent
-//!    ids), routed per-op outcomes match the in-process ones and every
+//!    ids), routed per-op outcomes match the flat database's and every
 //!    post-burst query still matches bit-for-bit;
 //! 5. **merge determinism** — [`merge_replies`] is a pure function of
 //!    the reply *contents*: shuffling shard reply arrival order changes
@@ -20,8 +21,9 @@
 use std::sync::Arc;
 
 use cpnn_core::pipeline::{cpnn, PipelineConfig, QuerySpec};
+use cpnn_core::shard::select_overlapping;
 use cpnn_core::{
-    CpnnResult, DistanceModel, Object2d, ObjectId, QueryServer, ShardedDb,
+    CpnnResult, DistanceModel, Object2d, ObjectId, QueryServer, ShardableModel, ShardedDb,
     Strategy as EvalStrategy, UncertainDb, UncertainDb2d, UncertainObject,
 };
 use cpnn_router::wire::Response;
@@ -84,6 +86,11 @@ fn assert_same(got: &CpnnResult, want: &CpnnResult, ctx: &str) -> Result<(), Tes
     Ok(())
 }
 
+/// The `shards`-slab partition of `flat` a fleet serves.
+fn partition<M: RoutedModel>(flat: &M, config: M::Config, shards: usize) -> ShardedDb<M> {
+    ShardedDb::build(flat.shard_objects(), config, shards).unwrap()
+}
+
 /// A fleet of in-test shard processes (thread-hosted, Unix-domain
 /// sockets in a per-test temp directory) mirroring `db`'s partitioning.
 struct Fleet<M: RoutedModel> {
@@ -97,7 +104,7 @@ fn spawn_fleet<M: RoutedModel>(db: &ShardedDb<M>, tag: &str) -> Fleet<M> {
     let mut addrs = Vec::with_capacity(db.num_shards());
     let mut handles = Vec::with_capacity(db.num_shards());
     for i in 0..db.num_shards() {
-        // Rebuild the slab's model exactly as `from_parts` would — same
+        // Rebuild the slab's model exactly as `shard-split` does — same
         // objects, same config, its own index.
         let model = M::build_shard(db.shard_model(i).shard_objects(), db.shard_configuration())
             .expect("shard rebuild");
@@ -157,11 +164,10 @@ proptest! {
         let cfg = PipelineConfig::default();
         let spec = QuerySpec::nn(threshold, 0.01, EvalStrategy::Verified);
         for shards in SHARD_COUNTS {
-            let sharded = ShardedDb::from_model(&flat, shards).unwrap();
-            let fleet = spawn_fleet(&sharded, "eq1d");
+            let fleet = spawn_fleet(&partition(&flat, *flat.config(), shards), "eq1d");
             let mut router = fleet.router(cfg);
             for &q in &points {
-                let want = cpnn(&sharded, &q, &spec, &cfg).unwrap();
+                let want = cpnn(&flat, &q, &spec, &cfg).unwrap();
                 let got = router.query(&q, &spec).unwrap();
                 assert_same(&got, &want, &format!("q = {q}, {shards} shard procs"))?;
             }
@@ -180,11 +186,10 @@ proptest! {
         let cfg = PipelineConfig::default();
         let spec = QuerySpec::knn(k, 0.4, 0.0, EvalStrategy::Verified);
         for shards in SHARD_COUNTS {
-            let sharded = ShardedDb::from_model(&flat, shards).unwrap();
-            let fleet = spawn_fleet(&sharded, "eqknn");
+            let fleet = spawn_fleet(&partition(&flat, *flat.config(), shards), "eqknn");
             let mut router = fleet.router(cfg);
             for &q in &points {
-                let want = cpnn(&sharded, &q, &spec, &cfg).unwrap();
+                let want = cpnn(&flat, &q, &spec, &cfg).unwrap();
                 let got = router.query(&q, &spec).unwrap();
                 assert_same(&got, &want, &format!("q = {q}, k = {k}, {shards} shard procs"))?;
             }
@@ -203,12 +208,11 @@ proptest! {
         let cfg = PipelineConfig::default();
         let spec = QuerySpec::knn(k, 0.3, 0.01, EvalStrategy::Verified);
         for shards in SHARD_COUNTS {
-            let sharded = ShardedDb::from_model(&flat, shards).unwrap();
-            let fleet = spawn_fleet(&sharded, "eq2d");
+            let fleet = spawn_fleet(&partition(&flat, *flat.config(), shards), "eq2d");
             let mut router = fleet.router(cfg);
             for &(x, y) in &points {
                 let q = [x, y];
-                let want = cpnn(&sharded, &q, &spec, &cfg).unwrap();
+                let want = cpnn(&flat, &q, &spec, &cfg).unwrap();
                 let got = router.query(&q, &spec).unwrap();
                 assert_same(&got, &want, &format!("q = {q:?}, k = {k}, {shards} shard procs"))?;
             }
@@ -230,11 +234,10 @@ proptest! {
         ),
         shards in prop::sample::select(vec![2usize, 4]),
     ) {
-        let flat = UncertainDb::build(objs).unwrap();
+        let mut local = UncertainDb::build(objs).unwrap();
         let cfg = PipelineConfig::default();
         let spec = QuerySpec::nn(0.3, 0.01, EvalStrategy::Verified);
-        let mut local = ShardedDb::from_model(&flat, shards).unwrap();
-        let fleet = spawn_fleet(&local, "upd");
+        let fleet = spawn_fleet(&partition(&local, *local.config(), shards), "upd");
         let mut router = fleet.router(cfg);
         for (b, burst) in bursts.iter().enumerate() {
             let mut ops = Vec::with_capacity(burst.len());
@@ -282,8 +285,14 @@ proptest! {
         seed in 0u64..u64::MAX,
     ) {
         let flat = UncertainDb::build(objs).unwrap();
-        let sharded = ShardedDb::from_model(&flat, 4).unwrap();
-        let selected = sharded.overlapping(&q, k);
+        let sharded = partition(&flat, *flat.config(), 4);
+        let summaries: Vec<_> = (0..sharded.num_shards())
+            .map(|i| {
+                let shard = sharded.shard_model(i);
+                (shard.model_extent(), shard.total_objects())
+            })
+            .collect();
+        let selected = select_overlapping(&summaries, &q, k);
         let replies = |order_seed: Option<u64>| {
             let mut rs: Vec<ShardReply> = selected
                 .iter()

@@ -8,14 +8,15 @@
 //! cluster on its own shard: queries near the surviving cluster are
 //! provably unaffected (horizon pruning never selects the dead shard),
 //! while queries near the dead cluster *must* fail typed rather than
-//! answer from partial data.
+//! answer from partial data. Hostile query points (NaN, ±∞) fail typed
+//! before any shard is asked, with the flat model's error.
 
 use std::sync::Arc;
 use std::time::Duration;
 
 use cpnn_core::pipeline::{cpnn, PipelineConfig, QuerySpec};
 use cpnn_core::{
-    CpnnResult, FileBackend, ObjectId, QueryServer, ShardableModel, ShardedDb, Strategy,
+    CoreError, CpnnResult, FileBackend, ObjectId, QueryServer, ShardableModel, ShardedDb, Strategy,
     UncertainDb, UncertainObject,
 };
 use cpnn_router::{
@@ -48,6 +49,40 @@ fn quick_cfg() -> RouterConfig {
 fn assert_same(got: &CpnnResult, want: &CpnnResult, ctx: &str) {
     assert_eq!(got.answers, want.answers, "answers differ: {ctx}");
     assert_eq!(got.reports, want.reports, "reports differ: {ctx}");
+}
+
+/// The two-slab partition of `flat` the fleet serves.
+fn partition(flat: &UncertainDb, shards: usize) -> ShardedDb<UncertainDb> {
+    ShardedDb::build(flat.shard_objects(), *flat.config(), shards).unwrap()
+}
+
+/// One in-memory shard server per slab of `layout`, on Unix sockets
+/// under `dir`, plus the map a router needs to reach them.
+fn spawn_fleet(
+    layout: &ShardedDb<UncertainDb>,
+    dir: &std::path::Path,
+) -> (Vec<ShardServerHandle<UncertainDb>>, ShardMap) {
+    let socket = |i: usize| dir.join(format!("s{i}.sock"));
+    let mut handles = Vec::new();
+    for i in 0..layout.num_shards() {
+        let model = UncertainDb::with_config(
+            layout.shard_model(i).shard_objects(),
+            *layout.shard_configuration(),
+        )
+        .unwrap();
+        let server = Arc::new(QueryServer::start(model, 1, layout.pipeline_config()));
+        let listener = ShardListener::bind(&ShardAddr::Unix(socket(i))).unwrap();
+        handles
+            .push(ShardServerHandle::spawn(server, listener, ShardServeConfig::default()).unwrap());
+    }
+    let map = ShardMap {
+        axis: layout.partition_axis(),
+        bounds: layout.slab_bounds().to_vec(),
+        addrs: (0..layout.num_shards())
+            .map(|i| ShardAddr::Unix(socket(i)))
+            .collect(),
+    };
+    (handles, map)
 }
 
 /// Spawn shard `i` of `db` on `socket`, durable in `data_dir`: recover
@@ -96,21 +131,22 @@ fn killed_shard_degrades_typed_then_recovers_from_its_data_dir() {
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
 
-    let flat = UncertainDb::build(clustered_objects()).unwrap();
     // `local` is the uninterrupted single-process run the routed answers
-    // must keep matching through crash and recovery.
-    let mut local = ShardedDb::from_model(&flat, 2).unwrap();
+    // must keep matching through crash and recovery; `layout` is the
+    // partition the fleet is seeded from.
+    let mut local = UncertainDb::build(clustered_objects()).unwrap();
+    let layout = partition(&local, 2);
     let cfg = PipelineConfig::default();
     let spec = QuerySpec::nn(0.3, 0.01, Strategy::Verified);
 
     let data_dir = |i: usize| dir.join(format!("shard{i}"));
     let socket = |i: usize| dir.join(format!("s{i}.sock"));
     let mut handles: Vec<Option<ShardServerHandle<UncertainDb>>> = (0..2)
-        .map(|i| Some(spawn_durable_shard(&local, i, &data_dir(i), &socket(i))))
+        .map(|i| Some(spawn_durable_shard(&layout, i, &data_dir(i), &socket(i))))
         .collect();
     let map = ShardMap {
-        axis: local.partition_axis(),
-        bounds: local.slab_bounds().to_vec(),
+        axis: layout.partition_axis(),
+        bounds: layout.slab_bounds().to_vec(),
         addrs: (0..2).map(|i| ShardAddr::Unix(socket(i))).collect(),
     };
     let mut router: QueryRouter<UncertainDb> =
@@ -182,7 +218,7 @@ fn killed_shard_degrades_typed_then_recovers_from_its_data_dir() {
     // Restart the shard on the same socket, recovering from its own
     // data dir — checkpoint + journal tail, no global rebuild. The
     // pre-crash burst (insert 100) must come back with it.
-    handles[1] = Some(spawn_durable_shard(&local, 1, &data_dir(1), &socket(1)));
+    handles[1] = Some(spawn_durable_shard(&layout, 1, &data_dir(1), &socket(1)));
 
     // The router reconnects lazily on the next request and resyncs its
     // id map from the recovered shard.
@@ -221,7 +257,7 @@ fn killed_shard_degrades_typed_then_recovers_from_its_data_dir() {
     // journaled but (checkpoint_every = 2) possibly not yet folded into
     // a checkpoint: the journal tail alone must carry it.
     handles[1].take().unwrap().kill();
-    handles[1] = Some(spawn_durable_shard(&local, 1, &data_dir(1), &socket(1)));
+    handles[1] = Some(spawn_durable_shard(&layout, 1, &data_dir(1), &socket(1)));
     for q in [0.5, 100.5] {
         let want = cpnn(&local, &q, &spec, &cfg).unwrap();
         assert_same(
@@ -246,29 +282,10 @@ fn repeated_queries_against_a_dead_shard_stay_typed() {
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
 
-    let flat = UncertainDb::build(clustered_objects()).unwrap();
-    let local = ShardedDb::from_model(&flat, 2).unwrap();
+    let local = UncertainDb::build(clustered_objects()).unwrap();
     let cfg = PipelineConfig::default();
     let spec = QuerySpec::nn(0.3, 0.01, Strategy::Verified);
-
-    let socket = |i: usize| dir.join(format!("s{i}.sock"));
-    let mut handles = Vec::new();
-    for i in 0..2 {
-        let model = UncertainDb::with_config(
-            local.shard_model(i).shard_objects(),
-            *local.shard_configuration(),
-        )
-        .unwrap();
-        let server = Arc::new(QueryServer::start(model, 1, local.pipeline_config()));
-        let listener = ShardListener::bind(&ShardAddr::Unix(socket(i))).unwrap();
-        handles
-            .push(ShardServerHandle::spawn(server, listener, ShardServeConfig::default()).unwrap());
-    }
-    let map = ShardMap {
-        axis: local.partition_axis(),
-        bounds: local.slab_bounds().to_vec(),
-        addrs: (0..2).map(|i| ShardAddr::Unix(socket(i))).collect(),
-    };
+    let (mut handles, map) = spawn_fleet(&partition(&local, 2), &dir);
     let mut router: QueryRouter<UncertainDb> =
         QueryRouter::connect(&map, cfg, quick_cfg()).unwrap();
 
@@ -292,4 +309,59 @@ fn repeated_queries_against_a_dead_shard_stay_typed() {
         h.shutdown();
     }
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Hostile query points fail typed before any shard is asked: NaN and
+/// ±∞ end in `RouterError::Query(InvalidQueryPoint)` at 1 and 2 shards,
+/// the variant the flat pipeline returns for the same point.
+#[test]
+fn non_finite_query_points_fail_typed_like_the_flat_model() {
+    let flat = UncertainDb::build(clustered_objects()).unwrap();
+    let cfg = PipelineConfig::default();
+    let spec = QuerySpec::nn(0.3, 0.01, Strategy::Verified);
+    for shards in [1, 2] {
+        let dir = std::env::temp_dir().join(format!(
+            "cpnn-router-hostile-{}-{shards}",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let (handles, map) = spawn_fleet(&partition(&flat, shards), &dir);
+        let mut router: QueryRouter<UncertainDb> =
+            QueryRouter::connect(&map, cfg, quick_cfg()).unwrap();
+        let fanned_before = router.router_stats().fanned_out;
+        for q in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert!(
+                matches!(
+                    cpnn(&flat, &q, &spec, &cfg),
+                    Err(CoreError::InvalidQueryPoint(_))
+                ),
+                "flat model must reject q = {q}"
+            );
+            match router.query(&q, &spec) {
+                Err(RouterError::Query(CoreError::InvalidQueryPoint(got))) => {
+                    assert_eq!(got.to_bits(), q.to_bits(), "{shards} shards");
+                }
+                other => {
+                    panic!("q = {q}, {shards} shards: expected InvalidQueryPoint, got {other:?}")
+                }
+            }
+        }
+        assert_eq!(
+            router.router_stats().fanned_out,
+            fanned_before,
+            "a rejected point must not reach any shard"
+        );
+        // The router still answers a finite point afterwards.
+        let want = cpnn(&flat, &0.5, &spec, &cfg).unwrap();
+        assert_same(
+            &router.query(&0.5, &spec).unwrap(),
+            &want,
+            "after hostile points",
+        );
+        for h in handles {
+            h.shutdown();
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
